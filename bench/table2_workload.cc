@@ -83,14 +83,10 @@ makeTable2Def()
                               const std::string &) {
             const int n = wl.numPrograms();
 
-            // Trace accounting is embarrassingly parallel: one task per
-            // program, results landing in per-index slots.
-            std::vector<trace::MixSummary> mixes(static_cast<size_t>(n));
-            bench.pool().parallelFor(static_cast<size_t>(n),
-                                     [&](size_t i) {
-                mixes[i] =
-                    wl.program(SimdIsa::Mmx, static_cast<int>(i)).mix();
-            });
+            // Program::mix() is memoized when the workload is built.
+            std::vector<trace::MixSummary> mixes;
+            for (int i = 0; i < n; ++i)
+                mixes.push_back(wl.program(SimdIsa::Mmx, i).mix());
 
             std::printf("Table 2: multiprogrammed workload description "
                         "(mix: %s)\n", wl.specName().c_str());

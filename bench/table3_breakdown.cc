@@ -35,18 +35,15 @@ makeTable3Def()
         bench.perWorkload([&](const MediaWorkload &wl,
                               const std::string &) {
 
-            // Independent trace walks (each program x 2 ISAs) on the
-            // pool.
+            // Program::mix() is memoized when the workload is built.
             const size_t kN = static_cast<size_t>(wl.numPrograms());
             std::vector<trace::MixSummary> mixes[2];
-            mixes[0].resize(kN);
-            mixes[1].resize(kN);
-            bench.pool().parallelFor(2 * kN, [&](size_t task) {
-                SimdIsa simd = task < kN ? SimdIsa::Mmx : SimdIsa::Mom;
-                int i = static_cast<int>(task % kN);
-                mixes[task < kN ? 0 : 1][static_cast<size_t>(i)] =
-                    wl.program(simd, i).mix();
-            });
+            for (size_t i = 0; i < kN; ++i) {
+                mixes[0].push_back(
+                    wl.program(SimdIsa::Mmx, static_cast<int>(i)).mix());
+                mixes[1].push_back(
+                    wl.program(SimdIsa::Mom, static_cast<int>(i)).mix());
+            }
 
             std::printf("Table 3: instruction breakdown (%%) and "
                         "equivalent instruction count (Kinst; mix: "

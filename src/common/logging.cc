@@ -11,7 +11,7 @@ namespace momsim
 namespace
 {
 
-/** Serializes multi-line stderr dumps from concurrent pool workers. */
+/** Serializes multi-line stderr dumps from concurrent worker threads. */
 Mutex &
 dumpMutex()
 {

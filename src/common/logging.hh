@@ -37,7 +37,7 @@ void inform(const std::string &msg);
 
 /**
  * Write a preformatted (possibly multi-line) block to stderr in one
- * atomic operation. Debug dumps from pool workers go through this so
+ * atomic operation. Debug dumps from worker threads go through this so
  * concurrent dumps cannot interleave mid-line.
  */
 void dumpRaw(const std::string &text);

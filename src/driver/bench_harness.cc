@@ -72,9 +72,6 @@ BenchOptions::flagTable()
     static const std::vector<BenchFlagInfo> table = {
         { "--jobs", "-j", "N",
           "worker threads for the sweep (default: all hardware)" },
-        { "--batch", nullptr, "K",
-          "interleave K consecutive sweep points per worker task "
-          "(default 1); results are byte-identical for any K" },
         { "--quick", nullptr, nullptr,
           "tiny workload scale, for smoke tests and CI" },
         { "--workload", nullptr, "NAME[,NAME...]",
@@ -206,15 +203,6 @@ BenchOptions::parseInto(int argc, char **argv, BenchOptions &out,
             opts.jobs = std::atoi(v);
             if (opts.jobs < 1) {
                 error = strfmt("bad --jobs '%s' (want an integer >= 1)", v);
-                return false;
-            }
-        } else if (std::strcmp(arg, "--batch") == 0) {
-            if (!value(i, &v))
-                return false;
-            opts.batch = std::atoi(v);
-            if (opts.batch < 1) {
-                error = strfmt("bad --batch '%s' (want an integer >= 1)",
-                               v);
                 return false;
             }
         } else if (std::strcmp(arg, "--quick") == 0) {
@@ -356,9 +344,10 @@ BenchOptions::parse(int argc, char **argv,
 }
 
 BenchHarness::BenchHarness(const BenchOptions &opts, std::string name)
-    : _opts(opts), _name(std::move(name)), _pool(opts.jobs),
+    : _opts(opts), _name(std::move(name)),
       _repo(opts.quick ? workloads::WorkloadScale::Tiny
                        : workloads::WorkloadScale::Paper),
+      _sched(PointScheduler::Config { opts.jobs }),
       _workloadNames(opts.workloads.empty()
                          ? std::vector<std::string> { "paper" }
                          : opts.workloads)
@@ -394,16 +383,6 @@ BenchHarness::declareNoSweep()
     }
 }
 
-ExperimentRunner &
-BenchHarness::runner()
-{
-    if (!_runner) {
-        _runner = std::make_unique<ExperimentRunner>(_repo, _pool);
-        _runner->setBatchSize(_opts.batch);
-    }
-    return *_runner;
-}
-
 ResultSink
 BenchHarness::run(const SweepGrid &grid)
 {
@@ -427,20 +406,13 @@ BenchHarness::run(const SweepGrid &grid)
             fatal("cannot read --merge store " + path);
     }
 
-    // Every workload of the grid participates in the plan keys, so all
-    // of them must exist before planning; distinct specs synthesize
-    // concurrently on the pool.
-    std::vector<std::string> toBuild = _repo.missing(_lastWorkloads);
-    if (!toBuild.empty()) {
+    // Planning builds every workload the plan keys need.
+    const size_t toBuild = _repo.missing(_lastWorkloads).size();
+    if (toBuild > 0) {
         std::fprintf(stderr, "[bench] building %zu workload(s) at %s "
-                             "scale (both ISAs)...\n", toBuild.size(),
+                             "scale (both ISAs)...\n", toBuild,
                      _opts.quick ? "tiny" : "paper");
-        _pool.parallelFor(toBuild.size(), [this, &toBuild](size_t i) {
-            _repo.get(toBuild[i]);
-        });
-        std::fprintf(stderr, "[bench] workloads ready\n");
     }
-
     RunPlan plan = planSweep(g.expand(_opts.baseSeed), _repo, &store,
                              _opts.shardIndex - 1, _opts.shardCount);
 
@@ -468,11 +440,12 @@ BenchHarness::run(const SweepGrid &grid)
                  plan.points.size() - plan.mineCount(), _opts.shardIndex,
                  _opts.shardCount);
 
-    ResultSink sink = runner().run(plan, persist ? &store : nullptr);
+    ResultSink sink = ExperimentRunner(_repo, _sched)
+                          .run(plan, persist ? &store : nullptr);
     std::fprintf(stderr,
                  "[bench] %zu experiments on %d worker(s); "
                  "serial cost %.0f ms\n",
-                 sink.size(), _pool.size(), sink.totalWallMs());
+                 sink.size(), _sched.workers(), sink.totalWallMs());
     if (!_opts.csvPath.empty()) {
         if (!sink.writeCsv(_opts.csvPath))
             fatal("cannot write CSV to " + _opts.csvPath);

@@ -28,12 +28,13 @@
  *                 nothing and reproduces the canonical unsharded output
  *
  * The harness owns a WorkloadRepo (at the scale --quick selects) that
- * builds each selected workload lazily, once, sharing it across every
- * sweep point; distinct workloads build concurrently on the pool. It
- * plans every sweep through the result store (see result_store.hh)
- * and hands benches an ExperimentRunner. All harness chatter goes to
- * stderr so stdout stays byte-comparable across --jobs / --cache-dir /
- * shard-and-merge settings.
+ * builds each selected workload once, sharing it across every sweep
+ * point, and a PointScheduler with --jobs workers. It plans every
+ * sweep through the result store (see result_store.hh; planning
+ * builds the distinct workloads concurrently) and executes the plan
+ * with ExperimentRunner::run — the same engine the service runs on.
+ * All harness chatter goes to stderr so stdout stays byte-comparable
+ * across --jobs / --cache-dir / shard-and-merge settings.
  */
 
 #ifndef MOMSIM_DRIVER_BENCH_HARNESS_HH
@@ -45,6 +46,7 @@
 #include <vector>
 
 #include "driver/experiment.hh"
+#include "driver/point_scheduler.hh"
 
 namespace momsim::driver
 {
@@ -68,7 +70,6 @@ struct BenchFlagInfo
 struct BenchOptions
 {
     int jobs = 0;               ///< 0 => hardware concurrency
-    int batch = 1;              ///< sweep points interleaved per task
     bool quick = false;
     bool dryRun = false;
     bool listWorkloads = false; ///< print the registry and exit
@@ -158,12 +159,12 @@ class BenchHarness
     /** The workload cache (Paper scale normally, Tiny under --quick). */
     workloads::WorkloadRepo &repo() { return _repo; }
 
-    ThreadPool &pool() { return _pool; }
-    ExperimentRunner &runner();
+    /** The scheduler sweeps run on (--jobs workers). */
+    PointScheduler &scheduler() { return _sched; }
 
     /**
      * Plan the grid (cache lookups, shard assignment), honour
-     * --dry-run, execute via the planned runner path, then honour any
+     * --dry-run, execute the plan on the scheduler, then honour any
      * --csv/--json request and report plan + sweep cost on stderr.
      * Grids that left the workload axis unset sweep the --workload
      * selection.
@@ -204,8 +205,8 @@ class BenchHarness
     }
 
     /**
-     * For benches with no sweep stage (table2/table3, which drive the
-     * pool directly). Call before doing any work: --dry-run prints an
+     * For benches with no sweep stage (table2/table3, which print
+     * trace statistics). Call before doing any work: --dry-run prints an
      * empty plan and exits immediately, and shard/cache/merge flags
      * draw an upfront no-effect warning instead of N shard processes
      * silently redoing 100% of the work each.
@@ -224,11 +225,10 @@ class BenchHarness
 
     BenchOptions _opts;
     std::string _name;
-    ThreadPool _pool;
     workloads::WorkloadRepo _repo;
+    PointScheduler _sched;
     std::vector<std::string> _workloadNames;
     std::vector<std::string> _lastWorkloads;    ///< last run() grid axis
-    std::unique_ptr<ExperimentRunner> _runner;
     bool _ranSweep = false;
 };
 

@@ -1,12 +1,12 @@
 /**
  * @file
- * PointScheduler — the process-wide, point-level execution engine
- * behind concurrent request serving.
+ * PointScheduler — the one execution engine every sweep runs on.
  *
- * Every submitted sweep (a `momsim batch` line, a serve connection's
- * request, a fabric shard_run deal) decomposes into content-addressed
- * sweep points; this scheduler owns the one worker pool they all feed,
- * and layers three request-path properties on top of raw execution:
+ * Every sweep (a CLI bench run, a `momsim batch` line, a serve
+ * connection's request, a fabric shard_run deal) decomposes into
+ * content-addressed sweep points that ExperimentRunner::run feeds to
+ * this scheduler; it owns the worker threads, and layers three
+ * request-path properties on top of raw execution:
  *
  *  - **Singleflight dedup**: a point already queued or executing for
  *    another request is *joined*, not re-simulated. The key is the
@@ -17,7 +17,7 @@
  *  - **In-memory LRU row cache**: recently completed rows are served
  *    from memory without touching the disk ResultStore, bounded at
  *    `memCacheRows` rows (0 disables).
- *  - **Fair interleaved dispatch**: workers pick the next task group
+ *  - **Fair interleaved dispatch**: workers pick the next point
  *    round-robin across *active requests*, not FIFO across the global
  *    queue — a 2-point request submitted behind a 600-point sweep gets
  *    its points onto a worker within one rotation instead of waiting
@@ -34,7 +34,7 @@
  * driven by their submitting thread (add points, then wait); delivery
  * callbacks fire on scheduler workers (or on the submitting thread for
  * memory-cache hits), serialized per request by the caller's own lock
- * if it needs one (driver::runPlanOnScheduler takes one).
+ * if it needs one (ExperimentRunner::run takes one).
  */
 
 #ifndef MOMSIM_DRIVER_POINT_SCHEDULER_HH
@@ -98,9 +98,8 @@ class PointScheduler
      *  "where did my rows come from" should. */
     void noteDiskCacheHits(uint64_t n);
 
-    /** Simulate a group of points on a worker thread; row i answers
-     *  spec i. One call per dispatched task group (the request's batch
-     *  size K controls grouping, exactly like the pool path). */
+    /** Simulate points on a worker thread; row i answers spec i. The
+     *  scheduler dispatches one point per call. */
     using ExecFn = std::function<std::vector<ResultRow>(
         const std::vector<const ExperimentSpec *> &)>;
 
@@ -120,8 +119,7 @@ class PointScheduler
     class Request
     {
       public:
-        Request(PointScheduler &sched, ExecFn exec, DeliverFn deliver,
-                int batchSize = 1);
+        Request(PointScheduler &sched, ExecFn exec, DeliverFn deliver);
         ~Request();
 
         Request(const Request &) = delete;
@@ -131,14 +129,12 @@ class PointScheduler
          * Schedule one point. Slot ids are the add() ordinals, starting
          * at 0. A memory-cache hit delivers before returning; an
          * in-flight duplicate joins the executing request; otherwise
-         * the point queues on this request's own lane (grouped K
-         * consecutive points per worker task).
+         * the point queues on this request's own lane.
          */
         void add(const ExperimentSpec &spec, const std::string &key);
 
         /**
-         * Flush any open partial group, then block until every added
-         * point was delivered (or failed). Rethrows the first exec
+         * Block until every added point was delivered (or failed). Rethrows the first exec
          * failure after the request fully drains. Idempotent.
          */
         void wait();
@@ -153,7 +149,7 @@ class PointScheduler
     friend class Request;
 
     std::shared_ptr<PointRequestState>
-    registerRequest(ExecFn exec, DeliverFn deliver, int batchSize);
+    registerRequest(ExecFn exec, DeliverFn deliver);
     void addPoint(const std::shared_ptr<PointRequestState> &req,
                   const ExperimentSpec &spec, const std::string &key);
     void waitRequest(const std::shared_ptr<PointRequestState> &req);

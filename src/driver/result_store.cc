@@ -739,6 +739,13 @@ RunPlan
 planSweep(std::vector<ExperimentSpec> specs, workloads::WorkloadRepo &repo,
           const ResultStore *store, int shardIndex, int shardCount)
 {
+    // Keys need every workload's fingerprint: build the distinct
+    // missing ones concurrently instead of one by one on first use.
+    std::vector<std::string> names;
+    names.reserve(specs.size());
+    for (const ExperimentSpec &spec : specs)
+        names.push_back(spec.workload);
+    repo.prebuild(names);
     return planSweep(
         std::move(specs),
         [&repo](const std::string &name) {

@@ -91,7 +91,7 @@ std::string resultCacheKey(const ExperimentSpec &spec,
 
 /**
  * Relative simulation cost of one point, used to deal shards and the
- * thread pool's initial batches evenly. Calibrated to the ROADMAP
+ * fabric coordinator's points evenly. Calibrated to the ROADMAP
  * observation that 8-thread configurations cost ~4x the 1-thread
  * ones; real-memory hierarchies add ~50% over the perfect one. A run
  * is one pass over the rotation, so cost scales linearly with the
@@ -230,9 +230,8 @@ RunPlan planSweep(std::vector<ExperimentSpec> specs,
                   int shardCount = 1);
 
 /**
- * The common case: fingerprints and program counts from @p repo
- * (workloads build on first use — callers wanting concurrency prebuild
- * via WorkloadRepo::missing + the pool first).
+ * The common case: fingerprints and program counts from @p repo, after
+ * WorkloadRepo::prebuild has built every workload the specs name.
  */
 RunPlan planSweep(std::vector<ExperimentSpec> specs,
                   workloads::WorkloadRepo &repo,

@@ -43,7 +43,6 @@
 #include "common/thread_annotations.hh"
 #include "driver/bench_harness.hh"
 #include "driver/result_store.hh"
-#include "driver/thread_pool.hh"
 #include "fabric/dealer.hh"
 #include "fabric/protocol.hh"
 #include "fabric/worker_link.hh"
@@ -426,14 +425,9 @@ runCoord(int argc, char **argv)
     std::vector<driver::ExperimentSpec> specs =
         grid.expand(opts.baseSeed);
 
-    driver::ThreadPool pool(opts.jobs);
     workloads::WorkloadRepo repo(opts.quick
                                      ? workloads::WorkloadScale::Tiny
                                      : workloads::WorkloadScale::Paper);
-    std::vector<std::string> toBuild = repo.missing(grid.workloadList());
-    pool.parallelFor(toBuild.size(), [&repo, &toBuild](size_t i) {
-        repo.get(toBuild[i]);
-    });
     driver::RunPlan plan =
         driver::planSweep(std::move(specs), repo, &store, 0, 1);
 
@@ -525,7 +519,6 @@ runCoord(int argc, char **argv)
         sweep.quick = opts.quick;
         sweep.maxCycles = opts.maxCycles;
         sweep.seed = opts.baseSeed;
-        sweep.batch = opts.batch;
         sweep.cacheDir = coord.workerCacheDir;
         const std::string sweepJson = sweep.toJson();
 

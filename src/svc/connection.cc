@@ -2,6 +2,7 @@
 
 #include <sys/socket.h>
 
+#include "common/logging.hh"
 #include "svc/sequencer.hh"
 #include "svc/sim_service.hh"
 
@@ -64,7 +65,8 @@ Connection::run()
 
     char buf[4096];
     std::string line;
-    for (;;) {
+    bool tooLong = false;
+    while (!tooLong) {
         long got = net::readSome(fd, buf, sizeof(buf));
         if (got <= 0)
             break;      // EOF, half-close, reset or forced drain
@@ -72,6 +74,9 @@ Connection::run()
             if (buf[i] == '\n') {
                 seq.push(std::move(line));
                 line.clear();
+            } else if (line.size() == kMaxLineBytes) {
+                tooLong = true;
+                break;
             } else {
                 line += buf[i];
             }
@@ -79,8 +84,17 @@ Connection::run()
         if (seq.writeFailed())
             break;      // client stopped reading; its input is moot
     }
-    seq.push(std::move(line));  // final request without trailing newline
+    if (!tooLong)
+        seq.push(std::move(line));  // final request without a newline
     seq.finish();
+    if (tooLong) {
+        SimResponse resp = SimResponse::failure(
+            "", errc::kLineTooLong,
+            strfmt("request line exceeds %zu bytes", kMaxLineBytes));
+        resp.client = _clientTag;
+        std::string out = resp.toJson(_opts.withTiming) + "\n";
+        net::writeAll(fd, out.data(), out.size());
+    }
     // Half-close so the client sees EOF right after the last response
     // instead of waiting for this object to be reaped. The fd itself
     // stays owned until destruction (shutdownRead() may still race).

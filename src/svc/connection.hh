@@ -12,7 +12,10 @@
  * is discarded unsimulated), or the server forces drain via
  * shutdownRead(). In every case in-flight responses are flushed
  * before the socket closes — an abrupt client disconnect never takes
- * down the daemon, only its own connection.
+ * down the daemon, only its own connection. A request line longer than
+ * kMaxLineBytes is answered with one line_too_long error, after the
+ * responses to the lines before it, and the connection closes: a
+ * client that never sends a newline cannot grow daemon memory.
  */
 
 #ifndef MOMSIM_SVC_CONNECTION_HH
@@ -34,6 +37,10 @@ class SimService;
 class Connection
 {
   public:
+    /** Longest accepted request line, newline excluded. Far above the
+     *  largest fabric shard_run line a coordinator sends. */
+    static constexpr size_t kMaxLineBytes = size_t { 1 } << 20;
+
     struct Options
     {
         int parallel = 2;       ///< submitter threads per connection

@@ -66,11 +66,8 @@ struct SimRequest
     int shardIndex = 1;         ///< 1-based, <= shardCount
     int shardCount = 1;
     /**
-     * Sweep points interleaved per worker task (ExperimentRunner
-     * batching). Purely an execution knob: rows are byte-identical for
-     * any value, so it participates in neither point ids nor cache
-     * keys. Optional on the wire (toJson omits the default 1, older
-     * clients never send it), hence no schemaVersion bump.
+     * Accepted for v1 compatibility, no effect. Still parsed, still
+     * rejected when < 1, and omitted from toJson() at its default 1.
      */
     int batch = 1;
     std::string cacheDir;       ///< "" => no persistence

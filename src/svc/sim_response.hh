@@ -52,6 +52,9 @@ constexpr const char *kCacheDir = "cache_dir";
 /** Load shed: admission queue full or --max-clients reached. The
  *  request was NOT executed; retry against a less-loaded server. */
 constexpr const char *kOverloaded = "overloaded";
+/** A serve request line exceeded Connection::kMaxLineBytes; the
+ *  connection answers this once and closes. */
+constexpr const char *kLineTooLong = "line_too_long";
 } // namespace errc
 
 struct SimResponse

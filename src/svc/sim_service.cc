@@ -273,10 +273,9 @@ SimService::execute(const SimRequest &req,
         }
     }
 
-    // Workloads build on the submitting thread during planning (the
-    // repo's get() is thread-safe and builds each name exactly once
-    // process-wide, so concurrent requests needing distinct mixes
-    // still synthesize them concurrently).
+    // Workloads build during planning (WorkloadRepo::prebuild; the
+    // repo is thread-safe, so concurrent requests needing distinct
+    // mixes still synthesize them concurrently).
     workloads::WorkloadRepo &repo = this->repo(req.quick);
 
     driver::RunPlan plan =
@@ -324,8 +323,8 @@ SimService::execute(const SimRequest &req,
     }
 
     _sched.noteDiskCacheHits(plan.cachedMineCount());
-    driver::ResultSink sink = driver::runPlanOnScheduler(
-        _sched, repo, plan, req.batch, store, onRow);
+    driver::ResultSink sink =
+        driver::ExperimentRunner(repo, _sched).run(plan, store, onRow);
 
     SimResponse resp;
     resp.id = req.id;

@@ -124,7 +124,7 @@ class Program
      * Move the trace into @p arena's contiguous block and drop the
      * build vector. Identity, layout and the memoized mix are
      * unchanged (the mix is warmed first so sealed programs shared
-     * read-only across pool workers never compute it concurrently).
+     * read-only across worker threads never compute it concurrently).
      * Idempotent per program; the arena must have capacity reserved.
      */
     void seal(InstArena &arena);
@@ -134,7 +134,7 @@ class Program
      * simulation driver reads eqInsts per run (partial-credit EIPC), so
      * recomputing the O(trace) walk each time would dominate short
      * runs. The cache is warmed by TraceBuilder::take()/rebased() and
-     * by seal(), so programs shared read-only across pool workers never
+     * by seal(), so programs shared read-only across worker threads never
      * write it concurrently; warm (call once) before sharing any
      * Program built another way.
      */

@@ -1,6 +1,8 @@
 #include "workloads/workload_repo.hh"
 
+#include <exception>
 #include <set>
+#include <thread>
 
 #include "common/logging.hh"
 
@@ -48,6 +50,32 @@ WorkloadRepo::missing(const std::vector<std::string> &names) const
             out.push_back(name);
     }
     return out;
+}
+
+size_t
+WorkloadRepo::prebuild(const std::vector<std::string> &names)
+{
+    std::vector<std::string> todo = missing(names);
+    std::vector<std::exception_ptr> errors(todo.size());
+    auto build = [this, &todo, &errors](size_t i) {
+        try {
+            get(todo[i]);
+        } catch (...) {
+            errors[i] = std::current_exception();
+        }
+    };
+    std::vector<std::thread> helpers;
+    for (size_t i = 1; i < todo.size(); ++i)
+        helpers.emplace_back(build, i);
+    if (!todo.empty())
+        build(0);
+    for (std::thread &t : helpers)
+        t.join();
+    for (const std::exception_ptr &e : errors) {
+        if (e)
+            std::rethrow_exception(e);
+    }
+    return todo.size();
 }
 
 size_t

@@ -3,8 +3,8 @@
  * Lazily-built, cached, immutable workloads keyed by spec name — the
  * shared source every sweep point draws from. One MediaWorkload is
  * built per (name, scale) for the whole process, shared across all
- * sweep points and benches that reference it; distinct specs can be
- * built concurrently (see missing() + a caller-side parallel loop).
+ * sweep points and benches that reference it; prebuild() builds the
+ * distinct missing specs of a sweep concurrently.
  */
 
 #ifndef MOMSIM_WORKLOADS_WORKLOAD_REPO_HH
@@ -46,12 +46,19 @@ class WorkloadRepo
 
     /**
      * Deduplicated subset of @p names not yet built, in first-seen
-     * order. The idiom for concurrent prebuilds:
-     *   auto todo = repo.missing(grid.workloadList());
-     *   pool.parallelFor(todo.size(), [&](size_t i) { repo.get(todo[i]); });
+     * order.
      */
     std::vector<std::string> missing(
         const std::vector<std::string> &names) const;
+
+    /**
+     * Build every name of @p names that is missing, concurrently: the
+     * first on the calling thread, each further one on its own
+     * std::thread. planSweep calls this before fingerprinting, so every
+     * planner gets concurrent builds. Returns how many it built (0 on a
+     * warm repo).
+     */
+    size_t prebuild(const std::vector<std::string> &names);
 
     size_t size() const;
 

@@ -360,6 +360,69 @@ TEST(ServeConnection, ServesATaggedStreamInOrder)
               std::string::npos);
 }
 
+TEST(ServeConnection, OverlongLineGetsOneErrorThenEof)
+{
+    SimService service;
+    Listener listener;
+    Listener::Options opts;
+    opts.tcpPort = 0;
+    std::string error;
+    ASSERT_TRUE(listener.open(opts, error)) << error;
+
+    // A 2 MiB line with no newline: one line_too_long error, then EOF.
+    std::string err;
+    int clientFd =
+        net::connectTcp("127.0.0.1", listener.boundPort(), err);
+    ASSERT_GE(clientFd, 0) << err;
+    int serverFd = listener.acceptClient();
+    ASSERT_GE(serverFd, 0);
+    Connection conn(serverFd, service, {}, "c1");
+    conn.start();
+
+    // A receive timeout turns a server that never answers into a
+    // failed assertion instead of a hung test.
+    timeval limit {};
+    limit.tv_sec = 30;
+    ASSERT_EQ(::setsockopt(clientFd, SOL_SOCKET, SO_RCVTIMEO, &limit,
+                           sizeof(limit)),
+              0);
+    // The writer may block once the server stops reading; it is
+    // unblocked by the shutdown below.
+    std::thread writer([clientFd] {
+        std::string junk(2u << 20, 'x');
+        net::writeAll(clientFd, junk.data(), junk.size());
+    });
+    std::vector<std::string> lines = splitLines(readAll(clientFd));
+    ::shutdown(clientFd, SHUT_RDWR);
+    writer.join();
+    ::close(clientFd);
+    conn.join();
+    EXPECT_TRUE(conn.done());
+
+    ASSERT_EQ(lines.size(), 1u);
+    EXPECT_NE(lines[0].find("\"ok\":false"), std::string::npos);
+    EXPECT_NE(lines[0].find("\"code\":\"line_too_long\""),
+              std::string::npos);
+    EXPECT_NE(lines[0].find("\"client\":\"c1\""), std::string::npos);
+
+    // A second connection to the same service is still served.
+    clientFd = net::connectTcp("127.0.0.1", listener.boundPort(), err);
+    ASSERT_GE(clientFd, 0) << err;
+    serverFd = listener.acceptClient();
+    ASSERT_GE(serverFd, 0);
+    Connection next(serverFd, service, {}, "c2");
+    next.start();
+    std::string wire = tinyRequest("n1").toJson() + "\n";
+    ASSERT_TRUE(net::writeAll(clientFd, wire.data(), wire.size()));
+    ::shutdown(clientFd, SHUT_WR);
+    lines = splitLines(readAll(clientFd));
+    ::close(clientFd);
+    next.join();
+    ASSERT_EQ(lines.size(), 1u);
+    EXPECT_NE(lines[0].find("\"id\":\"n1\""), std::string::npos);
+    EXPECT_NE(lines[0].find("\"ok\":true"), std::string::npos);
+}
+
 TEST(ServeConnection, SurvivesAbruptClientDisconnect)
 {
     SimService service;

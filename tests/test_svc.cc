@@ -360,8 +360,8 @@ TEST(SimService, BatchKnobValidatesAndNeverChangesRows)
     EXPECT_EQ(resp.errorCode, errc::kBadRequest);
     EXPECT_NE(resp.errorMessage.find("batch"), std::string::npos);
 
-    // Interleaved execution is an execution knob only: rows are
-    // byte-identical to the unbatched submit (modulo timing fields).
+    // batch is accepted for v1 compatibility and has no effect: rows
+    // are byte-identical to the submit without it (modulo timing).
     SimResponse plain = service.submit(tinyRequest("b1"));
     ASSERT_TRUE(plain.ok) << plain.errorMessage;
     SimRequest batched = tinyRequest("b1");

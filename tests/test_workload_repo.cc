@@ -4,7 +4,7 @@
  * resolution (fixed mixes and the paperxN pattern), recipe-driven
  * builds (paper-mix parity, duplicate-slot rebasing, decoder-only mixes
  * synthesizing their bitstreams), per-spec fingerprint distinctness,
- * and the repo's build-once sharing across lookups and pool workers.
+ * and the repo's build-once sharing across lookups and prebuild().
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "driver/thread_pool.hh"
 #include "workloads/workload_repo.hh"
 
 namespace momsim::workloads
@@ -185,15 +184,25 @@ TEST(WorkloadRepo, BuildsOnceAndSharesThereafter)
     EXPECT_EQ(repo.missing({ "gsmx8", "jpegx8" })[0], "jpegx8");
 }
 
-TEST(WorkloadRepo, DistinctSpecsBuildConcurrentlyOnThePool)
+TEST(WorkloadRepo, PrebuildBuildsEachDistinctNameOnce)
 {
     WorkloadRepo repo(WorkloadScale::Tiny);
-    std::vector<std::string> names { "gsmx8", "jpegx8" };
-    driver::ThreadPool pool(2);
-    pool.parallelFor(names.size(),
-                     [&](size_t i) { repo.get(names[i]); });
+    EXPECT_EQ(repo.prebuild({ "gsmx8", "jpegx8", "gsmx8", "jpegx8" }), 2u);
     EXPECT_EQ(repo.size(), 2u);
     EXPECT_NE(repo.fingerprintOf("gsmx8"), repo.fingerprintOf("jpegx8"));
+
+    // A warm repo builds nothing: the cached objects stay the same.
+    auto gsm = repo.get("gsmx8");
+    auto jpeg = repo.get("jpegx8");
+    EXPECT_EQ(repo.prebuild({ "jpegx8", "gsmx8" }), 0u);
+    EXPECT_EQ(repo.get("gsmx8").get(), gsm.get());
+    EXPECT_EQ(repo.get("jpegx8").get(), jpeg.get());
+    EXPECT_EQ(repo.size(), 2u);
+
+    // Only the missing name of a mixed list builds.
+    EXPECT_EQ(repo.prebuild({ "gsmx8", "paper" }), 1u);
+    EXPECT_EQ(repo.size(), 3u);
+    EXPECT_EQ(repo.prebuild({}), 0u);
 }
 
 } // namespace
