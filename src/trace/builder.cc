@@ -1,5 +1,9 @@
 #include "trace/builder.hh"
 
+#include <sys/mman.h>
+
+#include <new>
+
 #include "isa/regs.hh"
 
 namespace momsim::trace
@@ -19,12 +23,31 @@ constexpr int kAllocatableFp = 31;
 constexpr int kAllocatableMmx = 32;
 constexpr int kAllocatableMom = 16;
 
+/** @p bytes of zero-filled memory whose pages appear on first touch. */
+uint8_t *
+mapZeroPages(size_t bytes)
+{
+    void *p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (p == MAP_FAILED)
+        throw std::bad_alloc();
+    return static_cast<uint8_t *>(p);
+}
+
 } // namespace
+
+void
+TraceBuilder::Unmap::operator()(uint8_t *p) const
+{
+    munmap(p, bytes);
+}
 
 TraceBuilder::TraceBuilder(std::string name, isa::SimdIsa simd,
                            uint32_t base, uint32_t dataCapacity)
-    : _program(std::move(name), simd),
-      _data(dataCapacity, 0),
+    : _name(std::move(name)),
+      _simd(simd),
+      _insts(InstStore::kMaxRecords),
+      _data(mapZeroPages(dataCapacity), Unmap{ dataCapacity }),
       _base(base),
       _codeBase(base),
       _codeBrk(base + kDefaultRoutineSpan),   // region for "main"
@@ -54,7 +77,7 @@ TraceBuilder::peek8(uint32_t addr) const
 {
     MOMSIM_ASSERT(addr >= _dataBase && addr < _dataLimit,
                   "peek outside simulated memory");
-    return _data[addr - _dataBase];
+    return _data.get()[addr - _dataBase];
 }
 
 uint16_t
@@ -83,7 +106,7 @@ TraceBuilder::poke8(uint32_t addr, uint8_t v)
 {
     MOMSIM_ASSERT(addr >= _dataBase && addr < _dataLimit,
                   "poke outside simulated memory");
-    _data[addr - _dataBase] = v;
+    _data.get()[addr - _dataBase] = v;
 }
 
 void
@@ -224,8 +247,7 @@ TraceBuilder::emit(isa::Op op)
     isa::TraceInst inst;
     inst.op = static_cast<uint16_t>(op);
     inst.pc = advancePc();
-    _program.append(inst);
-    return _program.insts().back();
+    return _insts.append(inst);
 }
 
 Program
@@ -233,10 +255,8 @@ TraceBuilder::take()
 {
     MOMSIM_ASSERT(_callStack.empty(),
                   "program finished inside an open routine");
-    // Warm the memoized mix so a finished program can be shared across
-    // threads without its first mix() call racing.
-    _program.mix();
-    return std::move(_program);
+    _insts.finish();
+    return Program(std::move(_name), _simd, std::move(_insts));
 }
 
 } // namespace momsim::trace

@@ -4,13 +4,15 @@
  *
  * A TraceBuilder owns, for one benchmark instance:
  *  - the simulated data memory (allocated with alloc(), accessed by the
- *    emitters, so the codecs genuinely compute through simulated memory);
+ *    emitters, so the codecs genuinely compute through simulated memory;
+ *    zero pages from the kernel, so only the pages a codec touches cost
+ *    memory or time);
  *  - the synthetic code layout: every routine gets a code region, each
  *    invocation re-emits the same PCs, and loop helpers re-emit identical
  *    loop-body PCs with an explicit backward branch — so the I-cache and
  *    branch predictor observe realistic static/dynamic code behaviour;
  *  - compiler-style round-robin logical register allocation;
- *  - the growing TraceInst vector.
+ *  - the InstStore the trace records are written into, once each.
  *
  * The typed emitters (ScalarEmitter, MmxEmitter, MomEmitter) layer the
  * instruction-set semantics on top of this class.
@@ -20,6 +22,7 @@
 #define MOMSIM_TRACE_BUILDER_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -46,7 +49,7 @@ class TraceBuilder
     TraceBuilder(std::string name, isa::SimdIsa simd, uint32_t base,
                  uint32_t dataCapacity = 4u << 20);
 
-    isa::SimdIsa simdIsa() const { return _program.simdIsa(); }
+    isa::SimdIsa simdIsa() const { return _simd; }
 
     // -----------------------------------------------------------------
     // Simulated data memory
@@ -115,11 +118,11 @@ class TraceBuilder
     /**
      * Append an instruction with opcode @p op at the current PC and
      * advance the cursor. Returns a reference for operand fill-in that
-     * stays valid until the next emit.
+     * stays valid until take().
      */
     isa::TraceInst &emit(isa::Op op);
 
-    size_t instCount() const { return _program.size(); }
+    size_t instCount() const { return _insts.size(); }
 
     /** Hand the finished trace over (builder must not be reused). */
     Program take();
@@ -137,8 +140,17 @@ class TraceBuilder
 
     uint32_t advancePc();
 
-    Program _program;
-    std::vector<uint8_t> _data;
+    /** Returns the simulated data memory's pages to the kernel. */
+    struct Unmap
+    {
+        size_t bytes;
+        void operator()(uint8_t *p) const;
+    };
+
+    std::string _name;
+    isa::SimdIsa _simd;
+    InstStore _insts;
+    std::unique_ptr<uint8_t, Unmap> _data;
     uint32_t _base;
     uint32_t _codeBase;
     uint32_t _codeBrk;

@@ -1,9 +1,15 @@
 #include "trace/program.hh"
 
-#include "trace/inst_arena.hh"
+#include <utility>
 
 namespace momsim::trace
 {
+
+Program::Program(std::string name, isa::SimdIsa simd, InstStore insts)
+    : _name(std::move(name)), _simd(simd), _insts(std::move(insts)),
+      _mix(computeMix())
+{
+}
 
 MixSummary
 Program::computeMix() const
@@ -37,32 +43,17 @@ Program::computeMix() const
     return m;
 }
 
-void
-Program::seal(InstArena &arena)
-{
-    if (_sealed)
-        return;
-    mix();      // warm the memoized mix while the data is hot
-    _span = arena.append(_insts.data(), _insts.size());
-    _spanSize = _insts.size();
-    _sealed = true;
-    // Release the build storage; the arena block is the trace now.
-    std::vector<isa::TraceInst>().swap(_insts);
-}
-
 Program
 Program::rebased(uint32_t delta, const std::string &newName) const
 {
-    Program p(newName, _simd);
-    InstView src = insts();
-    p._insts.assign(src.begin(), src.end());
-    for (auto &inst : p._insts) {
+    InstStore store(size());
+    for (isa::TraceInst inst : insts()) {
         inst.pc += delta;
         if (inst.isMemory() || inst.isControl())
             inst.addr += delta;
+        store.append(inst);
     }
-    p.mix();    // warm the memoized mix before the copy is shared
-    return p;
+    return Program(newName, _simd, std::move(store));
 }
 
 } // namespace momsim::trace

@@ -3,11 +3,10 @@
  * A Program is the dynamic instruction stream of one benchmark instance,
  * produced by the emulation libraries and consumed by the SMT core.
  *
- * A Program has two storage modes. While being built it owns a growable
- * vector; once finished it can be seal()ed into an InstArena, which
- * copies the records into the arena's contiguous block and drops the
- * vector — every consumer reads through the InstView returned by
- * insts(), which works identically in both modes.
+ * A Program is immutable: a name, the InstStore its TraceBuilder wrote
+ * the records into (contiguous, never copied on the way), and the
+ * Table-3 mix computed once when the program is made. Every consumer
+ * reads the records through the InstView returned by insts().
  */
 
 #ifndef MOMSIM_TRACE_PROGRAM_HH
@@ -15,16 +14,13 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "common/logging.hh"
 #include "isa/simd_isa.hh"
 #include "isa/trace_inst.hh"
+#include "trace/inst_store.hh"
 
 namespace momsim::trace
 {
-
-class InstArena;
 
 /** Table-3-style instruction accounting for one program. */
 struct MixSummary
@@ -55,7 +51,7 @@ struct MixSummary
 /**
  * Read-only span over a program's trace records. Mirrors the subset of
  * the std::vector interface the consumers use (indexing, iteration,
- * back), so sealed and in-build programs read the same way.
+ * back).
  */
 class InstView
 {
@@ -83,76 +79,31 @@ class Program
 {
   public:
     Program() = default;
-    Program(std::string name, isa::SimdIsa simd)
-        : _name(std::move(name)), _simd(simd)
-    {}
+    /** Take ownership of a finished trace (none: empty) and its mix. */
+    Program(std::string name, isa::SimdIsa simd,
+            InstStore insts = InstStore());
 
     const std::string &name() const { return _name; }
     isa::SimdIsa simdIsa() const { return _simd; }
 
-    InstView
-    insts() const
-    {
-        return _sealed ? InstView(_span, _spanSize)
-                       : InstView(_insts.data(), _insts.size());
-    }
+    InstView insts() const { return InstView(_insts.data(), _insts.size()); }
 
-    /** Mutable access to the in-build trace; illegal once sealed. */
-    std::vector<isa::TraceInst> &
-    insts()
-    {
-        if (_sealed)
-            panic("mutating a sealed Program");
-        _mixValid = false;      // caller may mutate the trace
-        return _insts;
-    }
-
-    size_t size() const { return _sealed ? _spanSize : _insts.size(); }
+    size_t size() const { return _insts.size(); }
     bool empty() const { return size() == 0; }
-    bool sealed() const { return _sealed; }
-
-    void
-    append(const isa::TraceInst &inst)
-    {
-        if (_sealed)
-            panic("appending to a sealed Program");
-        _mixValid = false;
-        _insts.push_back(inst);
-    }
 
     /**
-     * Move the trace into @p arena's contiguous block and drop the
-     * build vector. Identity, layout and the memoized mix are
-     * unchanged (the mix is warmed first so sealed programs shared
-     * read-only across worker threads never compute it concurrently).
-     * Idempotent per program; the arena must have capacity reserved.
+     * The Table-3 accounting over the whole trace, computed once at
+     * construction: the simulation driver reads eqInsts per run
+     * (partial-credit EIPC), and a program shared read-only across
+     * worker threads has nothing left to compute.
      */
-    void seal(InstArena &arena);
-
-    /**
-     * The Table-3 accounting over the whole trace. Memoized: the
-     * simulation driver reads eqInsts per run (partial-credit EIPC), so
-     * recomputing the O(trace) walk each time would dominate short
-     * runs. The cache is warmed by TraceBuilder::take()/rebased() and
-     * by seal(), so programs shared read-only across worker threads never
-     * write it concurrently; warm (call once) before sharing any
-     * Program built another way.
-     */
-    const MixSummary &
-    mix() const
-    {
-        if (!_mixValid) {
-            _mix = computeMix();
-            _mixValid = true;
-        }
-        return _mix;
-    }
+    const MixSummary &mix() const { return _mix; }
 
     /**
      * A copy with every code and data address shifted by @p delta.
      * Used to give the second instance of a benchmark (the paper runs
-     * MPEG-2 decode twice) its own address space. The copy is always
-     * in build storage (unsealed), whatever the source mode.
+     * MPEG-2 decode twice) its own address space. Each record is
+     * written once, already shifted, into the copy's own store.
      */
     Program rebased(uint32_t delta, const std::string &newName) const;
 
@@ -161,12 +112,8 @@ class Program
 
     std::string _name;
     isa::SimdIsa _simd = isa::SimdIsa::Mmx;
-    std::vector<isa::TraceInst> _insts;     ///< build storage (unsealed)
-    const isa::TraceInst *_span = nullptr;  ///< arena storage (sealed)
-    size_t _spanSize = 0;
-    bool _sealed = false;
-    mutable MixSummary _mix;
-    mutable bool _mixValid = false;
+    InstStore _insts;
+    MixSummary _mix;
 };
 
 } // namespace momsim::trace

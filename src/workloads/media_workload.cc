@@ -1,5 +1,8 @@
 #include "workloads/media_workload.hh"
 
+#include <exception>
+#include <thread>
+
 #include "common/hash.hh"
 #include "common/logging.hh"
 #include "workloads/gsm.hh"
@@ -107,12 +110,99 @@ MediaWorkload::build(WorkloadScale scale)
     return build(WorkloadSpec::paper(scale));
 }
 
+void
+MediaWorkload::buildIsa(isa::SimdIsa simd, const WorkloadSpec &spec,
+                        const std::vector<int> &firstSlot)
+{
+    ScaledConfigs cfg = configsFor(spec.scale);
+    const int n = static_cast<int>(spec.slots.size());
+    auto &arr = (simd == isa::SimdIsa::Mom) ? _mom : _mmx;
+    arr.resize(static_cast<size_t>(n));
+    BuildStreams st;
+    st.scratchSlot = n;
+
+    // Pass 1: encoders at their first slots, producing the codec
+    // streams the decoder builds consume.
+    for (int i = 0; i < n; ++i) {
+        ProgramKind kind = spec.slots[static_cast<size_t>(i)];
+        if (firstSlot[static_cast<size_t>(i)] != i || !isEncoder(kind))
+            continue;
+        uint32_t base = slotBase(i);
+        if (kind == ProgramKind::Mpeg2Enc) {
+            arr[static_cast<size_t>(i)] =
+                buildMpeg2Encoder(simd, base, cfg.video, &st.video);
+            st.haveVideo = true;
+        } else if (kind == ProgramKind::GsmEnc) {
+            arr[static_cast<size_t>(i)] =
+                buildGsmEncoder(simd, base, cfg.gsm, &st.gsm);
+            st.haveGsm = true;
+        } else {
+            arr[static_cast<size_t>(i)] =
+                buildJpegEncoder(simd, base, cfg.jpeg, &st.jpeg);
+            st.haveJpeg = true;
+        }
+    }
+
+    // Pass 2: decoders and mesa at their first slots; streams still
+    // missing come from throwaway scratch-slot encoder builds.
+    for (int i = 0; i < n; ++i) {
+        ProgramKind kind = spec.slots[static_cast<size_t>(i)];
+        if (firstSlot[static_cast<size_t>(i)] != i || isEncoder(kind))
+            continue;
+        uint32_t base = slotBase(i);
+        switch (kind) {
+          case ProgramKind::Mpeg2Dec:
+            if (!st.haveVideo) {
+                buildMpeg2Encoder(simd, slotBase(st.scratchSlot++),
+                                  cfg.video, &st.video);
+                st.haveVideo = true;
+            }
+            arr[static_cast<size_t>(i)] =
+                buildMpeg2Decoder(simd, base, st.video);
+            break;
+          case ProgramKind::GsmDec:
+            if (!st.haveGsm) {
+                buildGsmEncoder(simd, slotBase(st.scratchSlot++),
+                                cfg.gsm, &st.gsm);
+                st.haveGsm = true;
+            }
+            arr[static_cast<size_t>(i)] =
+                buildGsmDecoder(simd, base, st.gsm);
+            break;
+          case ProgramKind::JpegDec:
+            if (!st.haveJpeg) {
+                buildJpegEncoder(simd, slotBase(st.scratchSlot++),
+                                 cfg.jpeg, &st.jpeg);
+                st.haveJpeg = true;
+            }
+            arr[static_cast<size_t>(i)] =
+                buildJpegDecoder(simd, base, st.jpeg);
+            break;
+          default:
+            arr[static_cast<size_t>(i)] =
+                buildMesa(simd, base, cfg.mesa);
+            break;
+        }
+    }
+
+    // Pass 3: duplicate slots share the first instance's synthesis,
+    // rebased into their own address space.
+    for (int i = 0; i < n; ++i) {
+        int first = firstSlot[static_cast<size_t>(i)];
+        if (first == i)
+            continue;
+        arr[static_cast<size_t>(i)] =
+            arr[static_cast<size_t>(first)].rebased(
+                slotBase(i) - slotBase(first),
+                _names[static_cast<size_t>(i)]);
+    }
+}
+
 std::unique_ptr<MediaWorkload>
 MediaWorkload::build(const WorkloadSpec &spec)
 {
     MOMSIM_ASSERT(!spec.slots.empty(), "workload spec has no slots");
     auto wl = std::make_unique<MediaWorkload>();
-    ScaledConfigs cfg = configsFor(spec.scale);
     const int n = static_cast<int>(spec.slots.size());
 
     wl->_specName = spec.name;
@@ -140,118 +230,35 @@ MediaWorkload::build(const WorkloadSpec &spec)
         }
     }
 
-    for (isa::SimdIsa simd : { isa::SimdIsa::Mmx, isa::SimdIsa::Mom }) {
-        auto &arr = (simd == isa::SimdIsa::Mom) ? wl->_mom : wl->_mmx;
-        arr.resize(static_cast<size_t>(n));
-        BuildStreams st;
-        st.scratchSlot = n;
-
-        // Pass 1: encoders at their first slots, producing the codec
-        // streams the decoder builds consume.
-        for (int i = 0; i < n; ++i) {
-            ProgramKind kind = spec.slots[static_cast<size_t>(i)];
-            if (firstSlot[static_cast<size_t>(i)] != i || !isEncoder(kind))
-                continue;
-            uint32_t base = slotBase(i);
-            if (kind == ProgramKind::Mpeg2Enc) {
-                arr[static_cast<size_t>(i)] =
-                    buildMpeg2Encoder(simd, base, cfg.video, &st.video);
-                st.haveVideo = true;
-            } else if (kind == ProgramKind::GsmEnc) {
-                arr[static_cast<size_t>(i)] =
-                    buildGsmEncoder(simd, base, cfg.gsm, &st.gsm);
-                st.haveGsm = true;
-            } else {
-                arr[static_cast<size_t>(i)] =
-                    buildJpegEncoder(simd, base, cfg.jpeg, &st.jpeg);
-                st.haveJpeg = true;
-            }
+    // The two ISAs share nothing: MOM synthesizes on a helper thread
+    // while MMX runs here, and the MMX half of the fingerprint chain is
+    // hashed before waiting for MOM. The chain order (MMX programs,
+    // then MOM programs) is fixed, so the fingerprint does not depend
+    // on which half finishes first.
+    std::exception_ptr momError;
+    std::thread mom([&] {
+        try {
+            wl->buildIsa(isa::SimdIsa::Mom, spec, firstSlot);
+        } catch (...) {
+            momError = std::current_exception();
         }
-
-        // Pass 2: decoders and mesa at their first slots; streams still
-        // missing come from throwaway scratch-slot encoder builds.
-        for (int i = 0; i < n; ++i) {
-            ProgramKind kind = spec.slots[static_cast<size_t>(i)];
-            if (firstSlot[static_cast<size_t>(i)] != i || isEncoder(kind))
-                continue;
-            uint32_t base = slotBase(i);
-            switch (kind) {
-              case ProgramKind::Mpeg2Dec:
-                if (!st.haveVideo) {
-                    buildMpeg2Encoder(simd, slotBase(st.scratchSlot++),
-                                      cfg.video, &st.video);
-                    st.haveVideo = true;
-                }
-                arr[static_cast<size_t>(i)] =
-                    buildMpeg2Decoder(simd, base, st.video);
-                break;
-              case ProgramKind::GsmDec:
-                if (!st.haveGsm) {
-                    buildGsmEncoder(simd, slotBase(st.scratchSlot++),
-                                    cfg.gsm, &st.gsm);
-                    st.haveGsm = true;
-                }
-                arr[static_cast<size_t>(i)] =
-                    buildGsmDecoder(simd, base, st.gsm);
-                break;
-              case ProgramKind::JpegDec:
-                if (!st.haveJpeg) {
-                    buildJpegEncoder(simd, slotBase(st.scratchSlot++),
-                                     cfg.jpeg, &st.jpeg);
-                    st.haveJpeg = true;
-                }
-                arr[static_cast<size_t>(i)] =
-                    buildJpegDecoder(simd, base, st.jpeg);
-                break;
-              default:
-                arr[static_cast<size_t>(i)] =
-                    buildMesa(simd, base, cfg.mesa);
-                break;
-            }
-        }
-
-        // Pass 3: duplicate slots share the first instance's synthesis,
-        // rebased into their own address space.
-        for (int i = 0; i < n; ++i) {
-            int first = firstSlot[static_cast<size_t>(i)];
-            if (first == i)
-                continue;
-            arr[static_cast<size_t>(i)] =
-                arr[static_cast<size_t>(first)].rebased(
-                    slotBase(i) - slotBase(first),
-                    wl->_names[static_cast<size_t>(i)]);
-        }
-    }
-
-    // The equivalent-instruction counts are invariant once the traces
-    // exist; computing them here keeps rotation() — called once per
-    // experiment, possibly from many driver threads — free of
-    // O(trace-length) walks.
-    for (int i = 0; i < n; ++i) {
-        wl->_mmxEq.push_back(wl->_mmx[static_cast<size_t>(i)].mix().eqInsts);
-        wl->_momEq.push_back(wl->_mom[static_cast<size_t>(i)].mix().eqInsts);
-    }
-
-    // Seal every finished program of both ISAs into one contiguous
-    // arena block: a simulation interleaving the rotation then streams
-    // through a single dense region instead of per-program heap
-    // allocations. Content (and therefore the fingerprint below) is
-    // unchanged — seal() is a straight copy.
-    size_t totalRecords = 0;
-    for (const auto *arr : { &wl->_mmx, &wl->_mom })
-        for (const trace::Program &prog : *arr)
-            totalRecords += prog.size();
-    wl->_arena.reserve(totalRecords);
-    for (auto *arr : { &wl->_mmx, &wl->_mom })
-        for (trace::Program &prog : *arr)
-            prog.seal(wl->_arena);
-
-    // Content fingerprint over both ISAs' traces (see fingerprint()).
+    });
     uint64_t h = kHashSeed;
-    for (const auto *arr : { &wl->_mmx, &wl->_mom })
-        for (const trace::Program &prog : *arr)
+    try {
+        wl->buildIsa(isa::SimdIsa::Mmx, spec, firstSlot);
+        for (const trace::Program &prog : wl->_mmx)
             h = mixProgram(h, prog);
+    } catch (...) {
+        mom.join();
+        throw;
+    }
+    mom.join();
+    if (momError)
+        std::rethrow_exception(momError);
+    for (const trace::Program &prog : wl->_mom)
+        h = mixProgram(h, prog);
     wl->_fingerprint = h;
+
     return wl;
 }
 
@@ -263,7 +270,7 @@ MediaWorkload::rotation(isa::SimdIsa simd) const
     for (int i = 0; i < numPrograms(); ++i) {
         core::WorkloadProgram wp;
         wp.prog = &program(simd, i);
-        wp.mmxEq = _mmxEq[static_cast<size_t>(i)];
+        wp.mmxEq = eqInsts(isa::SimdIsa::Mmx, i);
         rot.push_back(wp);
     }
     return rot;

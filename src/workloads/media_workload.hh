@@ -12,6 +12,11 @@
  * share one synthesis and are rebased into their own address space,
  * and decoder slots whose matching encoder is absent from the mix get
  * their bitstream from a throwaway encoder build.
+ *
+ * The MMX and MOM halves share nothing, so build() synthesizes them
+ * concurrently: MOM on one helper thread, MMX on the caller. Each
+ * program keeps the InstStore its TraceBuilder wrote it into, so every
+ * trace record is written once, where the simulator reads it.
  */
 
 #ifndef MOMSIM_WORKLOADS_MEDIA_WORKLOAD_HH
@@ -22,7 +27,6 @@
 #include <vector>
 
 #include "core/simulation.hh"
-#include "trace/inst_arena.hh"
 #include "trace/program.hh"
 #include "workloads/workload_spec.hh"
 
@@ -61,8 +65,7 @@ class MediaWorkload
     /** Equivalent-instruction count of slot @p i under @p simd. */
     uint64_t eqInsts(isa::SimdIsa simd, int i) const
     {
-        const auto &eq = (simd == isa::SimdIsa::Mom) ? _momEq : _mmxEq;
-        return eq[static_cast<size_t>(i)];
+        return program(simd, i).mix().eqInsts;
     }
 
     /** The spec's rotation for a given ISA, with EIPC weights. */
@@ -79,19 +82,15 @@ class MediaWorkload
      */
     uint64_t fingerprint() const { return _fingerprint; }
 
-    /** The packed trace block every sealed program points into. */
-    const trace::InstArena &arena() const { return _arena; }
-
   private:
-    /** Contiguous storage for every sealed trace of both ISAs. */
-    trace::InstArena _arena;
+    /** Synthesize every program of one ISA into _mmx or _mom. */
+    void buildIsa(isa::SimdIsa simd, const WorkloadSpec &spec,
+                  const std::vector<int> &firstSlot);
+
     std::vector<trace::Program> _mmx;
     std::vector<trace::Program> _mom;
     std::vector<std::string> _names;
     std::vector<ProgramKind> _kinds;
-    /** Cached equivalent-instruction counts (MMX ones = EIPC weights). */
-    std::vector<uint64_t> _mmxEq;
-    std::vector<uint64_t> _momEq;
     std::string _specName;
     uint64_t _fingerprint = 0;
 };

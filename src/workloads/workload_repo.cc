@@ -1,6 +1,7 @@
 #include "workloads/workload_repo.hh"
 
 #include <exception>
+#include <optional>
 #include <set>
 #include <thread>
 
@@ -12,25 +13,44 @@ namespace momsim::workloads
 std::shared_ptr<const MediaWorkload>
 WorkloadRepo::get(const std::string &name)
 {
+    Built inFlight;
+    std::optional<std::promise<std::shared_ptr<const MediaWorkload>>> mine;
+    WorkloadSpec spec;
+    bool known = true;
     {
         MutexLock lock(_mutex);
         auto it = _cache.find(name);
-        if (it != _cache.end())
-            return it->second;
+        if (it != _cache.end()) {
+            inFlight = it->second;
+        } else {
+            known = WorkloadSpec::byName(name, spec);
+            if (known) {
+                _cache.emplace(name, mine.emplace().get_future().share());
+                _builds += 1;
+            }
+        }
     }
-
-    WorkloadSpec spec;
-    if (!WorkloadSpec::byName(name, spec))
+    if (!known)
         fatal("unknown workload '" + name + "' (see --list-workloads)");
-    spec.scale = _scale;
+    // A later caller waits for the build already in flight.
+    if (inFlight.valid())
+        return inFlight.get();
 
     // Build outside the lock so distinct specs synthesize concurrently.
-    std::shared_ptr<const MediaWorkload> built = MediaWorkload::build(spec);
-
-    MutexLock lock(_mutex);
-    auto [it, inserted] = _cache.emplace(name, std::move(built));
-    (void)inserted;     // lost race: the earlier identical build wins
-    return it->second;
+    spec.scale = _scale;
+    try {
+        std::shared_ptr<const MediaWorkload> built =
+            MediaWorkload::build(spec);
+        mine->set_value(built);
+        return built;
+    } catch (...) {
+        {
+            MutexLock lock(_mutex);
+            _cache.erase(name);
+        }
+        mine->set_exception(std::current_exception());
+        throw;
+    }
 }
 
 uint64_t
@@ -83,6 +103,13 @@ WorkloadRepo::size() const
 {
     MutexLock lock(_mutex);
     return _cache.size();
+}
+
+size_t
+WorkloadRepo::builds() const
+{
+    MutexLock lock(_mutex);
+    return _builds;
 }
 
 } // namespace momsim::workloads

@@ -4,12 +4,15 @@
  * shared source every sweep point draws from. One MediaWorkload is
  * built per (name, scale) for the whole process, shared across all
  * sweep points and benches that reference it; prebuild() builds the
- * distinct missing specs of a sweep concurrently.
+ * distinct missing specs of a sweep concurrently. Builds are
+ * single-flight: a name is built once however many callers ask for it
+ * while it is being built.
  */
 
 #ifndef MOMSIM_WORKLOADS_WORKLOAD_REPO_HH
 #define MOMSIM_WORKLOADS_WORKLOAD_REPO_HH
 
+#include <future>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -33,11 +36,11 @@ class WorkloadRepo
     /**
      * The workload for registry spec @p name, built on first use and
      * cached for the process lifetime. Thread-safe: concurrent calls
-     * for distinct names build concurrently; concurrent calls for the
-     * same missing name may both build, and the first insert wins (the
-     * builds are deterministic, so the loser's copy is identical and
-     * simply dropped). Unknown names are fatal — CLI layers validate
-     * against WorkloadSpec::isKnown first.
+     * for distinct names build concurrently; the first call for a
+     * missing name builds it and later callers wait for that build.
+     * A build that throws is forgotten (its waiters get the exception,
+     * the next call builds afresh). Unknown names are fatal — CLI
+     * layers validate against WorkloadSpec::isKnown first.
      */
     std::shared_ptr<const MediaWorkload> get(const std::string &name);
 
@@ -45,8 +48,8 @@ class WorkloadRepo
     uint64_t fingerprintOf(const std::string &name);
 
     /**
-     * Deduplicated subset of @p names not yet built, in first-seen
-     * order.
+     * Deduplicated subset of @p names neither built nor being built,
+     * in first-seen order.
      */
     std::vector<std::string> missing(
         const std::vector<std::string> &names) const;
@@ -60,13 +63,19 @@ class WorkloadRepo
      */
     size_t prebuild(const std::vector<std::string> &names);
 
+    /** Workloads built or being built. */
     size_t size() const;
 
+    /** MediaWorkload::build calls this repo has started. */
+    size_t builds() const;
+
   private:
+    using Built = std::shared_future<std::shared_ptr<const MediaWorkload>>;
+
     WorkloadScale _scale;
     mutable momsim::Mutex _mutex;
-    std::unordered_map<std::string, std::shared_ptr<const MediaWorkload>>
-        _cache GUARDED_BY(_mutex);
+    std::unordered_map<std::string, Built> _cache GUARDED_BY(_mutex);
+    size_t _builds GUARDED_BY(_mutex) = 0;
 };
 
 } // namespace momsim::workloads

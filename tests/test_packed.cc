@@ -12,7 +12,6 @@
 
 #include "common/rng.hh"
 #include "trace/builder.hh"
-#include "trace/inst_arena.hh"
 #include "trace/packed.hh"
 #include "trace/program.hh"
 #include "trace/scalar_emitter.hh"
@@ -298,91 +297,146 @@ TEST(Packed, Q15RoundMultiply)
 // Sealed trace layout: Program::seal() into an InstArena
 // ---------------------------------------------------------------------
 
-/** A small deterministic program with memory, branch and ALU records. */
+/**
+ * A program of @p length records with every field set from a seeded
+ * pattern, built through TraceBuilder::emit(). @p reference receives
+ * each record exactly as it was filled in.
+ */
 Program
-smallProgram(const std::string &name, int length)
+patternProgram(const std::string &name, size_t length,
+               std::vector<isa::TraceInst> &reference)
 {
+    static const isa::Op kOps[] = { isa::Op::ADDL, isa::Op::LDQ,
+                                    isa::Op::STQ, isa::Op::BNE,
+                                    isa::Op::PADDB, isa::Op::MADD_OB };
     TraceBuilder tb(name, isa::SimdIsa::Mmx, 16u << 20);
-    ScalarEmitter s(tb);
-    uint32_t buf = tb.alloc(1 << 12);
-    IVal base = s.imm(static_cast<int32_t>(buf));
-    IVal acc = s.imm(0);
-    for (int i = 0; i < length; ++i) {
-        acc = s.add(acc, s.loadI32(base, (i * 8) % (1 << 12)));
-        if (i % 5 == 0)
-            s.condBr(acc, (i % 2) != 0);
+    Rng rng(length);
+    reference.clear();
+    for (size_t i = 0; i < length; ++i) {
+        isa::TraceInst &inst = tb.emit(kOps[rng.next() % 6]);
+        inst.addr = static_cast<uint32_t>(rng.next());
+        inst.flags = static_cast<uint8_t>(rng.next() & 3);
+        inst.dst = static_cast<isa::RegRef>(rng.next() & 0x7f);
+        inst.src0 = static_cast<isa::RegRef>(rng.next() & 0x7f);
+        inst.src1 = static_cast<isa::RegRef>(rng.next() & 0x7f);
+        inst.src2 = static_cast<isa::RegRef>(rng.next() & 0x7f);
+        inst.accessSize = static_cast<uint8_t>(1u << (rng.next() & 3));
+        inst.streamLen = static_cast<uint8_t>(1 + rng.next() % 16);
+        inst.stride = static_cast<int16_t>(rng.next());
+        reference.push_back(inst);
     }
     return tb.take();
 }
 
-TEST(SealedTrace, SealPacksProgramsContiguouslyWithIdenticalContent)
+void
+expectSameRecord(const isa::TraceInst &got, const isa::TraceInst &want,
+                 size_t i)
 {
-    Program a = smallProgram("a", 40);
-    Program b = smallProgram("b", 25);
-    // Read through const refs: the mutable insts() overload is (by
-    // design) illegal on sealed programs.
-    const Program &ca = a;
-    const Program &cb = b;
-    // Snapshot the build-mode records and mix before sealing.
-    std::vector<isa::TraceInst> beforeA(ca.insts().begin(),
-                                        ca.insts().end());
-    std::vector<isa::TraceInst> beforeB(cb.insts().begin(),
-                                        cb.insts().end());
-    MixSummary mixA = a.mix();
-
-    InstArena arena;
-    arena.reserve(a.size() + b.size());
-    a.seal(arena);
-    b.seal(arena);
-
-    ASSERT_TRUE(a.sealed());
-    ASSERT_TRUE(b.sealed());
-    ASSERT_EQ(a.size(), beforeA.size());
-    ASSERT_EQ(b.size(), beforeB.size());
-    EXPECT_EQ(arena.size(), a.size() + b.size());
-    EXPECT_EQ(arena.capacity(), arena.size());
-
-    // Sealed spans are dense inside the arena block, in seal order.
-    EXPECT_EQ(ca.insts().data(), arena.data());
-    EXPECT_EQ(cb.insts().data(), arena.data() + a.size());
-
-    // Byte-identical records through the view.
-    EXPECT_EQ(std::memcmp(ca.insts().data(), beforeA.data(),
-                          beforeA.size() * sizeof(isa::TraceInst)), 0);
-    EXPECT_EQ(std::memcmp(cb.insts().data(), beforeB.data(),
-                          beforeB.size() * sizeof(isa::TraceInst)), 0);
-
-    // The memoized mix survives unchanged, and sealing is idempotent.
-    EXPECT_EQ(a.mix().records, mixA.records);
-    EXPECT_EQ(a.mix().eqInsts, mixA.eqInsts);
-    EXPECT_EQ(a.mix().memAccesses, mixA.memAccesses);
-    a.seal(arena);
-    EXPECT_EQ(arena.size(), beforeA.size() + beforeB.size());
-    EXPECT_EQ(ca.insts().data(), arena.data());
+    EXPECT_EQ(got.pc, want.pc) << i;
+    EXPECT_EQ(got.addr, want.addr) << i;
+    EXPECT_EQ(got.op, want.op) << i;
+    EXPECT_EQ(got.flags, want.flags) << i;
+    EXPECT_EQ(got.dst, want.dst) << i;
+    EXPECT_EQ(got.src0, want.src0) << i;
+    EXPECT_EQ(got.src1, want.src1) << i;
+    EXPECT_EQ(got.src2, want.src2) << i;
+    EXPECT_EQ(got.accessSize, want.accessSize) << i;
+    EXPECT_EQ(got.streamLen, want.streamLen) << i;
+    EXPECT_EQ(got.stride, want.stride) << i;
 }
 
-TEST(SealedTrace, RebasedCopiesOfSealedProgramsAreUnsealed)
+/** The Table-3 accounting, recomputed from first principles. */
+void
+expectMixOf(const MixSummary &mix, const std::vector<isa::TraceInst> &ref)
 {
-    Program a = smallProgram("orig", 30);
-    InstArena arena;
-    arena.reserve(a.size());
-    a.seal(arena);
-
-    constexpr uint32_t kDelta = 1u << 20;
-    const Program &ca = a;
-    Program moved = a.rebased(kDelta, "copy");
-    const Program &cmoved = moved;
-    EXPECT_FALSE(moved.sealed());
-    ASSERT_EQ(moved.size(), a.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-        const isa::TraceInst &src = ca.insts()[i];
-        const isa::TraceInst &dst = cmoved.insts()[i];
-        EXPECT_EQ(dst.pc, src.pc + kDelta);
-        EXPECT_EQ(dst.op, src.op);
+    MixSummary want;
+    for (const isa::TraceInst &inst : ref) {
+        want.records += 1;
+        want.eqInsts += inst.eqInsts();
+        want.memAccesses += inst.memAccesses();
+        want.branches += inst.isCondBranch();
+        want.takenBranches += inst.isCondBranch() && inst.taken();
     }
-    // The copy is independent build storage: appending to it is legal
-    // and leaves the sealed original untouched.
-    EXPECT_EQ(moved.mix().eqInsts, a.mix().eqInsts);
+    EXPECT_EQ(mix.records, want.records);
+    EXPECT_EQ(mix.eqInsts, want.eqInsts);
+    EXPECT_EQ(mix.memAccesses, want.memAccesses);
+    EXPECT_EQ(mix.branches, want.branches);
+    EXPECT_EQ(mix.takenBranches, want.takenBranches);
+    EXPECT_EQ(mix.intOps + mix.fpOps + mix.simdOps + mix.memOps,
+              want.eqInsts);
+}
+
+// Enough records to cross several of the store's growth steps.
+constexpr size_t kLongTrace = 50000;
+
+TEST(InstStorage, ProgramHoldsEveryRecordAsWritten)
+{
+    std::vector<isa::TraceInst> ref;
+    Program p = patternProgram("pattern", kLongTrace, ref);
+    ASSERT_EQ(p.size(), ref.size());
+    for (size_t i = 0; i < ref.size(); ++i)
+        expectSameRecord(p.insts()[i], ref[i], i);
+    expectMixOf(p.mix(), ref);
+}
+
+TEST(InstStorage, RecordsStayWhereTheBuilderWroteThem)
+{
+    // The program reads the very block the builder wrote into: the
+    // first record's address survives growth and take(), and the
+    // whole trace is one contiguous run from there.
+    TraceBuilder tb("inplace", isa::SimdIsa::Mmx, 16u << 20);
+    const isa::TraceInst *first = &tb.emit(isa::Op::ADDL);
+    const isa::TraceInst *last = first;
+    for (size_t i = 1; i < kLongTrace; ++i)
+        last = &tb.emit(isa::Op::ADDL);
+    EXPECT_EQ(first->op, static_cast<uint16_t>(isa::Op::ADDL));
+    Program p = tb.take();
+    ASSERT_EQ(p.size(), kLongTrace);
+    EXPECT_EQ(p.insts().data(), first);
+    EXPECT_EQ(&p.insts().back(), last);
+    EXPECT_EQ(p.insts().end() - p.insts().begin(),
+              static_cast<std::ptrdiff_t>(kLongTrace));
+
+    // Moving a program moves ownership, never the records.
+    Program moved = std::move(p);
+    EXPECT_EQ(moved.insts().data(), first);
+    EXPECT_EQ(moved.size(), kLongTrace);
+}
+
+TEST(InstStorage, RebasedCopyIsShiftedByExactlyTheDelta)
+{
+    std::vector<isa::TraceInst> ref;
+    Program orig = patternProgram("orig", kLongTrace, ref);
+    constexpr uint32_t kDelta = (15u << 20) + 0x21840u;
+    Program copy = orig.rebased(kDelta, "copy");
+    EXPECT_EQ(copy.name(), "copy");
+    EXPECT_EQ(copy.simdIsa(), orig.simdIsa());
+    ASSERT_EQ(copy.size(), ref.size());
+    EXPECT_NE(copy.insts().data(), orig.insts().data());
+    for (size_t i = 0; i < ref.size(); ++i) {
+        isa::TraceInst want = ref[i];
+        want.pc += kDelta;
+        if (want.isMemory() || want.isControl())
+            want.addr += kDelta;
+        expectSameRecord(copy.insts()[i], want, i);
+        // The source is untouched.
+        expectSameRecord(orig.insts()[i], ref[i], i);
+    }
+    expectMixOf(copy.mix(), ref);
+}
+
+TEST(InstStorage, EmptyProgramsHaveNoRecords)
+{
+    Program none;
+    EXPECT_TRUE(none.empty());
+    EXPECT_EQ(none.insts().begin(), none.insts().end());
+    EXPECT_EQ(none.mix().records, 0u);
+
+    TraceBuilder tb("idle", isa::SimdIsa::Mom, 16u << 20);
+    Program built = tb.take();
+    EXPECT_TRUE(built.empty());
+    EXPECT_EQ(built.simdIsa(), isa::SimdIsa::Mom);
+    EXPECT_EQ(built.rebased(4096, "idle2").size(), 0u);
 }
 
 } // namespace

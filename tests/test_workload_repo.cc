@@ -4,13 +4,16 @@
  * resolution (fixed mixes and the paperxN pattern), recipe-driven
  * builds (paper-mix parity, duplicate-slot rebasing, decoder-only mixes
  * synthesizing their bitstreams), per-spec fingerprint distinctness,
- * and the repo's build-once sharing across lookups and prebuild().
+ * and the repo's build-once sharing across lookups, prebuild() and
+ * concurrent first requests.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "workloads/workload_repo.hh"
@@ -162,6 +165,36 @@ TEST(MediaWorkloadBuild, DistinctMixesHaveDistinctFingerprints)
     }
 }
 
+TEST(MediaWorkloadBuild, TinyFingerprintsArePinned)
+{
+    // Every persisted ResultRow is keyed by these values, so a change to
+    // how traces are built or stored that moves one would silently turn
+    // every existing --cache-dir cold. A deliberate synthesis change
+    // updates them together with kSimCodeVersion.
+    const struct
+    {
+        const char *name;
+        uint64_t fingerprint;
+    } pinned[] = {
+        { "paper", 0x2273390f56b18a9aull },
+        { "decode-heavy", 0x92382377795bc96dull },
+        { "encode-heavy", 0x952e1dcf90048f4eull },
+        { "mpeg2x8", 0x93fb26ff7a435709ull },
+        { "gsmx8", 0xe666643475fbbd8full },
+        { "jpegx8", 0xba9cade43c0c6fc5ull },
+        { "paperx2", 0xb6c1645f45ef61a5ull },
+    };
+    std::set<std::string> covered;
+    for (const auto &pin : pinned) {
+        auto wl = MediaWorkload::build(tinySpec(pin.name));
+        EXPECT_EQ(wl->fingerprint(), pin.fingerprint) << pin.name;
+        covered.insert(pin.name);
+    }
+    for (const WorkloadSpec &spec : WorkloadSpec::registry())
+        EXPECT_EQ(covered.count(spec.name), 1u)
+            << spec.name << " has no pinned fingerprint";
+}
+
 // ---------------------------------------------------------------------------
 // WorkloadRepo caching
 // ---------------------------------------------------------------------------
@@ -178,6 +211,7 @@ TEST(WorkloadRepo, BuildsOnceAndSharesThereafter)
     // Same object, not a rebuild.
     EXPECT_EQ(repo.get("gsmx8").get(), first.get());
     EXPECT_EQ(repo.size(), 1u);
+    EXPECT_EQ(repo.builds(), 1u);
     EXPECT_EQ(repo.fingerprintOf("gsmx8"), first->fingerprint());
     EXPECT_TRUE(repo.missing({ "gsmx8" }).empty());
     ASSERT_EQ(repo.missing({ "gsmx8", "jpegx8" }).size(), 1u);
@@ -203,6 +237,37 @@ TEST(WorkloadRepo, PrebuildBuildsEachDistinctNameOnce)
     EXPECT_EQ(repo.prebuild({ "gsmx8", "paper" }), 1u);
     EXPECT_EQ(repo.size(), 3u);
     EXPECT_EQ(repo.prebuild({}), 0u);
+}
+
+TEST(WorkloadRepo, ConcurrentFirstRequestsShareOneBuild)
+{
+    WorkloadRepo repo(WorkloadScale::Tiny);
+    constexpr int kCallers = 4;
+    std::atomic<int> arrived{0};
+    std::vector<const MediaWorkload *> got(kCallers, nullptr);
+    std::vector<std::thread> callers;
+    for (int i = 0; i < kCallers; ++i) {
+        callers.emplace_back([&, i] {
+            // Release every caller at once so they all miss together.
+            arrived.fetch_add(1);
+            while (arrived.load() < kCallers)
+                std::this_thread::yield();
+            got[static_cast<size_t>(i)] = repo.get("jpegx8").get();
+        });
+    }
+    for (std::thread &t : callers)
+        t.join();
+
+    EXPECT_EQ(repo.builds(), 1u);
+    EXPECT_EQ(repo.size(), 1u);
+    ASSERT_NE(got[0], nullptr);
+    for (const MediaWorkload *wl : got)
+        EXPECT_EQ(wl, got[0]);
+
+    // Later lookups and prebuilds reuse it too.
+    EXPECT_EQ(repo.prebuild({ "jpegx8" }), 0u);
+    EXPECT_EQ(repo.get("jpegx8").get(), got[0]);
+    EXPECT_EQ(repo.builds(), 1u);
 }
 
 } // namespace
