@@ -13,8 +13,7 @@
  * With no positional arguments, sweeps the fetch policies at 8 threads
  * on the decoupled MOM machine through the threaded experiment runner.
  * Flag/positional splitting is the harness parser's positional mode
- * (BenchOptions::parseInto) — the old hand-rolled takesValue() scan
- * over argv is gone.
+ * (BenchOptions::parseInto).
  */
 
 #include <cstdio>

@@ -10,7 +10,6 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -115,40 +114,11 @@ readSome(int fd, void *buf, size_t n)
 }
 
 int
-waitReadable(int fd, int timeoutMs)
-{
-    using clock = std::chrono::steady_clock;
-    const bool forever = timeoutMs < 0;
-    clock::time_point deadline =
-        clock::now() + std::chrono::milliseconds(forever ? 0 : timeoutMs);
-    for (;;) {
-        int wait = -1;
-        if (!forever) {
-            auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                            deadline - clock::now())
-                            .count();
-            wait = left > 0 ? static_cast<int>(left) : 0;
-        }
-        struct pollfd pfd;
-        pfd.fd = fd;
-        pfd.events = POLLIN;
-        pfd.revents = 0;
-        int rc = ::poll(&pfd, 1, wait);
-        if (rc > 0)
-            return 1;   // readable, EOF or error — read() will tell
-        if (rc == 0)
-            return 0;
-        if (errno != EINTR)
-            return -1;
-    }
-}
-
-int
 connectRetry(const std::function<int(std::string &)> &dial, int retries,
              int backoffMs, std::string &error, int *attempts)
 {
-    // Per-thread PRNG so concurrent dialers (the coordinator runs one
-    // per worker) never share — or synchronize on — generator state.
+    // Per-thread PRNG so concurrent dialers (loadgen runs one per
+    // client) never share — or synchronize on — generator state.
     thread_local std::minstd_rand rng(
         static_cast<unsigned>(::getpid()) * 2654435761u ^
         static_cast<unsigned>(

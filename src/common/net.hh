@@ -88,21 +88,12 @@ bool writeAll(int fd, const void *data, size_t n);
 long readSome(int fd, void *buf, size_t n);
 
 /**
- * Wait up to @p timeoutMs for @p fd to become readable (or reach
- * EOF/error, which also reads as readable). Returns 1 when readable,
- * 0 on timeout, -1 on poll error. EINTR re-arms with the remaining
- * time; @p timeoutMs < 0 waits forever. The deadline primitive behind
- * the fabric coordinator's straggler detection.
- */
-int waitReadable(int fd, int timeoutMs);
-
-/**
  * Dial through @p dial (any of the connect* functions below, curried;
  * returns an fd >= 0, or -1 with an error string), retrying up to
  * @p retries additional attempts after the first one fails. Attempts
  * are separated by a jittered exponential backoff starting at
  * @p backoffMs (doubling per attempt, +/-50% jitter, capped at 10 s)
- * so a fleet of clients racing a worker's startup neither gives up
+ * so a crowd of clients racing a daemon's startup neither gives up
  * instantly nor stampedes in lockstep. On exhaustion returns -1 with
  * the last error; @p attempts (when given) reports how many dials
  * were made either way.

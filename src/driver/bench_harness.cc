@@ -106,17 +106,6 @@ BenchOptions::flagTable()
 }
 
 bool
-BenchOptions::takesValue(const char *flag)
-{
-    for (const BenchFlagInfo &info : flagTable()) {
-        if (std::strcmp(flag, info.flag) == 0 ||
-            (info.alias && std::strcmp(flag, info.alias) == 0))
-            return info.valueName != nullptr;
-    }
-    return false;
-}
-
-bool
 BenchOptions::isKnownFlag(const char *arg)
 {
     for (const BenchFlagInfo &info : flagTable()) {

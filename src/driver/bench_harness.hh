@@ -6,9 +6,9 @@
  *
  * The flags every subcommand accepts are defined once, in
  * BenchOptions::flagTable(): spelling, alias, value placeholder and
- * help line. takesValue(), the usage synopsis, `momsim help <bench>`
- * and this documentation all derive from that table, so they cannot
- * drift from the parser. Flags worth extra context beyond their table
+ * help line. The usage synopsis, `momsim help <bench>` and this
+ * documentation all derive from that table, so they cannot drift from
+ * the parser. Flags worth extra context beyond their table
  * help line:
  *
  *   --max-cycles  the cap is part of the result-store key, so rows
@@ -54,10 +54,9 @@ namespace momsim::driver
 /**
  * One harness flag: its spelling, optional short alias, the
  * placeholder name of its value (nullptr for boolean flags) and a
- * one-line help string. The single source of truth behind
- * BenchOptions::takesValue(), the generated usage/help text and the
- * `momsim help` output — the parser, the usage string and the docs can
- * no longer drift apart.
+ * one-line help string. The single source of truth behind the
+ * generated usage/help text and the `momsim help` output — the
+ * parser, the usage string and the docs can no longer drift apart.
  */
 struct BenchFlagInfo
 {
@@ -111,13 +110,6 @@ struct BenchOptions
     static bool parseInto(int argc, char **argv, BenchOptions &out,
                           std::string &error,
                           std::vector<std::string> *positionals = nullptr);
-
-    /**
-     * True if @p flag is a harness flag that consumes the following
-     * token. Derived from flagTable(). For callers that mix harness
-     * flags with their own positional arguments.
-     */
-    static bool takesValue(const char *flag);
 
     /** True if @p arg is any known harness flag (either spelling). */
     static bool isKnownFlag(const char *arg);

@@ -206,8 +206,7 @@ ExperimentRunner::runOne(const ExperimentSpec &spec) const
 }
 
 ResultSink
-ExperimentRunner::run(const RunPlan &plan, ResultStore *store,
-                      const RowFn &onRow)
+ExperimentRunner::run(const RunPlan &plan, ResultStore *store)
 {
     std::vector<size_t> todo;
     for (size_t i = 0; i < plan.points.size(); ++i) {
@@ -217,8 +216,8 @@ ExperimentRunner::run(const RunPlan &plan, ResultStore *store,
     }
 
     // Deliveries run on scheduler workers (several rows of this plan
-    // may complete concurrently); one mutex serializes store puts and
-    // onRow per row, the moment it completes.
+    // may complete concurrently); one mutex serializes store puts per
+    // row, the moment it completes.
     std::vector<ResultRow> fresh(todo.size());
     momsim::Mutex deliverMutex;
     PointScheduler::Request request(
@@ -234,8 +233,6 @@ ExperimentRunner::run(const RunPlan &plan, ResultStore *store,
             MutexLock lock(deliverMutex);
             if (store)
                 store->put(plan.points[todo[slot]].key, row);
-            if (onRow)
-                onRow(plan.points[todo[slot]], row);
             fresh[slot] = row;
         });
     for (size_t i : todo)

@@ -11,9 +11,8 @@
  * result_store.hh) keys and deals its expansion; ExperimentRunner
  * executes the plan's points concurrently and delivers the results in
  * sweep order, so a `--jobs 1` and a `--jobs N` run of the same grid
- * are indistinguishable byte for byte. The CLI harness, the service,
- * the serve daemon and the fabric worker all execute through that one
- * run().
+ * are indistinguishable byte for byte. The CLI harness, the service
+ * and the serve daemon all execute through that one run().
  *
  * Workloads are a first-class axis: each spec names a registry
  * workload ("paper" by default) and the runner resolves it through a
@@ -44,7 +43,6 @@ namespace momsim::driver
 
 class PointScheduler;
 class ResultStore;
-struct PlannedPoint;
 struct RunPlan;
 
 /** One fully-specified simulation point. */
@@ -160,15 +158,6 @@ class ExperimentRunner
     {}
 
     /**
-     * Per-completion callback of run(): fired once per row this plan
-     * did not take from the disk store, serialized (under the same
-     * lock as store puts) but in completion order, not sweep order.
-     * The fabric worker streams rows back to its coordinator from here.
-     */
-    using RowFn =
-        std::function<void(const PlannedPoint &, const ResultRow &)>;
-
-    /**
      * Execute a RunPlan (see result_store.hh): simulate only this
      * shard's cache misses, splice cached rows back in sweep order,
      * and persist each freshly delivered row to @p store when given,
@@ -178,12 +167,10 @@ class ExperimentRunner
      *
      * Rows another request simulated (singleflight joins) and
      * memory-cache replays arrive the same way, so @p store still ends
-     * up holding every row this plan produced and @p onRow still fires
-     * once per non-disk-cached point. Rethrows the first simulation
-     * failure after every point has drained.
+     * up holding every row this plan produced. Rethrows the first
+     * simulation failure after every point has drained.
      */
-    ResultSink run(const RunPlan &plan, ResultStore *store = nullptr,
-                   const RowFn &onRow = nullptr);
+    ResultSink run(const RunPlan &plan, ResultStore *store = nullptr);
 
     /**
      * Execute one spec on the calling thread: construct the machine,

@@ -3,7 +3,7 @@
  * PointScheduler — the one execution engine every sweep runs on.
  *
  * Every sweep (a CLI bench run, a `momsim batch` line, a serve
- * connection's request, a fabric shard_run deal) decomposes into
+ * connection's request) decomposes into
  * content-addressed sweep points that ExperimentRunner::run feeds to
  * this scheduler; it owns the worker threads, and layers three
  * request-path properties on top of raw execution:

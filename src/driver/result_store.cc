@@ -667,6 +667,34 @@ RunPlan::simulateCount() const
     return count;
 }
 
+namespace
+{
+
+/** Longest-processing-time deal of @p points onto @p binCount shards;
+ *  ties break toward sweep order and the lowest shard. */
+void
+dealByCost(std::vector<PlannedPoint> &points, int binCount)
+{
+    std::vector<size_t> order(points.size());
+    std::iota(order.begin(), order.end(), size_t { 0 });
+    std::stable_sort(order.begin(), order.end(),
+                     [&points](size_t a, size_t b) {
+                         return points[a].cost > points[b].cost;
+                     });
+    std::vector<double> load(static_cast<size_t>(binCount), 0.0);
+    for (size_t idx : order) {
+        size_t best = 0;
+        for (size_t s = 1; s < load.size(); ++s) {
+            if (load[s] < load[best])
+                best = s;
+        }
+        points[idx].shard = static_cast<int>(best);
+        load[best] += points[idx].cost;
+    }
+}
+
+} // namespace
+
 RunPlan
 planSweep(std::vector<ExperimentSpec> specs,
           const WorkloadFingerprintFn &fingerprintOf,
@@ -701,38 +729,8 @@ planSweep(std::vector<ExperimentSpec> specs,
     // Cost-weighted dealing: heaviest points first, each onto the
     // least-loaded shard. Depends only on the spec list — never on the
     // cache — so independent shard processes agree on the assignment.
-    std::vector<double> costs;
-    costs.reserve(plan.points.size());
-    for (const PlannedPoint &p : plan.points)
-        costs.push_back(p.cost);
-    std::vector<int> bins = dealByCost(costs, shardCount);
-    for (size_t i = 0; i < plan.points.size(); ++i)
-        plan.points[i].shard = bins[i];
+    dealByCost(plan.points, shardCount);
     return plan;
-}
-
-std::vector<int>
-dealByCost(const std::vector<double> &costs, int binCount)
-{
-    MOMSIM_ASSERT(binCount >= 1, "dealByCost needs at least one bin");
-    std::vector<size_t> order(costs.size());
-    std::iota(order.begin(), order.end(), size_t { 0 });
-    std::stable_sort(order.begin(), order.end(),
-                     [&costs](size_t a, size_t b) {
-                         return costs[a] > costs[b];
-                     });
-    std::vector<double> load(static_cast<size_t>(binCount), 0.0);
-    std::vector<int> bins(costs.size(), 0);
-    for (size_t idx : order) {
-        size_t best = 0;
-        for (size_t s = 1; s < load.size(); ++s) {
-            if (load[s] < load[best])
-                best = s;
-        }
-        bins[idx] = static_cast<int>(best);
-        load[best] += costs[idx];
-    }
-    return bins;
 }
 
 RunPlan

@@ -90,8 +90,8 @@ std::string resultCacheKey(const ExperimentSpec &spec,
                            uint64_t workloadFingerprint);
 
 /**
- * Relative simulation cost of one point, used to deal shards and the
- * fabric coordinator's points evenly. Calibrated to the ROADMAP
+ * Relative simulation cost of one point, used to deal a sweep's points
+ * evenly across --shard processes. Calibrated to the ROADMAP
  * observation that 8-thread configurations cost ~4x the 1-thread
  * ones; real-memory hierarchies add ~50% over the perfect one. A run
  * is one pass over the rotation, so cost scales linearly with the
@@ -197,17 +197,6 @@ struct RunPlan
     /** This shard's points that must be simulated. */
     size_t simulateCount() const;
 };
-
-/**
- * The cost-weighted deal shared by planSweep and the fabric
- * coordinator: assign each item (by its cost) to one of @p binCount
- * bins, heaviest first onto the least-loaded bin (LPT). Ties break
- * toward input order and the lowest bin, so the assignment is a pure
- * function of the cost list — every process that computes it agrees.
- * Returns the bin index per item, in input order.
- */
-std::vector<int> dealByCost(const std::vector<double> &costs,
-                            int binCount);
 
 /** Per-spec workload fingerprint source (name -> content hash). */
 using WorkloadFingerprintFn = std::function<uint64_t(const std::string &)>;

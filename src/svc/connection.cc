@@ -3,6 +3,7 @@
 #include <sys/socket.h>
 
 #include "common/logging.hh"
+#include "svc/ping.hh"
 #include "svc/sequencer.hh"
 #include "svc/sim_service.hh"
 
@@ -55,7 +56,9 @@ Connection::run()
         std::string out = line + "\n";
         return net::writeAll(fd, out.data(), out.size());
     };
-    cfg.rawSubmit = _opts.rawSubmit;
+    cfg.pong = [this](const std::string &id) {
+        return pongJson(id, _service);
+    };
     cfg.parallel = _opts.parallel;
     cfg.maxPending = _opts.maxPending;
     cfg.shedOnFull = true;      // a full queue sheds, never stalls

@@ -23,7 +23,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <functional>
 #include <string>
 #include <thread>
 
@@ -37,8 +36,9 @@ class SimService;
 class Connection
 {
   public:
-    /** Longest accepted request line, newline excluded. Far above the
-     *  largest fabric shard_run line a coordinator sends. */
+    /** Longest accepted request line, newline excluded. Far above any
+     *  SimRequest a client sends (a whole sweep fits in well under a
+     *  kilobyte), yet a bound on what one unterminated line can cost. */
     static constexpr size_t kMaxLineBytes = size_t { 1 } << 20;
 
     struct Options
@@ -46,12 +46,6 @@ class Connection
         int parallel = 2;       ///< submitter threads per connection
         size_t maxPending = 0;  ///< admission queue bound; 0 => auto
         bool withTiming = true;
-        /** Pre-parse interceptor for fabric messages (see
-         *  ResponseSequencer::Config::rawSubmit). Shared by every
-         *  connection of a server; null disables the fabric. */
-        std::function<bool(const std::string &line,
-                           const std::function<void(std::string)> &chunk,
-                           std::string &finalLine)> rawSubmit;
     };
 
     /** Takes ownership of @p fd. @p clientTag is this connection's

@@ -17,9 +17,8 @@
  *                            unix socket, warm across requests
  *   momsim client [...]      loopback client for serve (stdin -> wire
  *                            -> stdout); also the test harness's tool
- *   momsim coord [...]       distributed-sweep coordinator: deal any
- *                            bench sweep across a fleet of serve
- *                            workers, byte-identical to a local run
+ *   momsim loadgen [...]     drive a serve daemon with concurrent
+ *                            clients and report throughput/latency
  *
  * batch flags:
  *   --jobs N      simulation pool workers (default: all hardware)
@@ -47,10 +46,8 @@
 
 #include "common/logging.hh"
 #include "common/net.hh"
-#include "fabric/coord_main.hh"
-#include "fabric/handler.hh"
-#include "fabric/protocol.hh"
 #include "svc/bench_registry.hh"
+#include "svc/ping.hh"
 #include "svc/sequencer.hh"
 #include "svc/serve_main.hh"
 #include "svc/sim_service.hh"
@@ -77,8 +74,6 @@ usage(std::FILE *to, int rc)
                  "socket)\n"
                  "  client        stream stdin to a momsim serve "
                  "daemon\n"
-                 "  coord         run a sweep across a fleet of serve "
-                 "workers\n"
                  "  loadgen       drive a serve daemon with concurrent "
                  "clients\n"
                  "\n"
@@ -96,7 +91,7 @@ runList()
                     def.oldBinary.c_str(), def.summary.c_str());
     }
     std::printf("\nplus: batch (JSONL request server), serve (socket "
-                "daemon), client, help, list\n");
+                "daemon), client, loadgen, help, list\n");
     return 0;
 }
 
@@ -181,17 +176,17 @@ runHelp(int argc, char **argv)
                 "accepting, finish in-flight\nrequests, flush, exit 0 "
                 "(second signal: stop reading new requests).\n"
                 "\n"
-                "Fabric: lines whose JSON carries a top-level \"kind\" "
-                "speak the\ndistributed-sweep protocol instead. "
-                "{\"kind\":\"ping\"} answers with a pong\ncarrying the "
-                "worker's version fingerprint (%s),\nuptimeMs, inFlight "
-                "(requests executing), pendingPoints (dealt sweep\n"
-                "points not yet streamed back) and the scheduler's "
-                "lifetime gauges:\npointsSimulated, pointsDeduped "
-                "(in-flight joins), memCacheHits and\ndiskCacheHits; "
-                "\"shard_run\" executes a coordinator's deal — see\n"
-                "`momsim help coord`.\n",
-                momsim::fabric::fabricVersionString().c_str());
+                "Ping: a {\"kind\":\"ping\",\"id\":\"p\"} line "
+                "(id optional) is answered in its\nslot with one "
+                "{\"kind\":\"pong\"} line carrying the same id, the "
+                "version\nfingerprint (%s; equal strings agree on "
+                "every\nwire format and result-cache key), uptimeMs, "
+                "inFlight (requests\nexecuting now) and the scheduler's "
+                "lifetime gauges: pointsSimulated,\npointsDeduped "
+                "(joined in flight), memCacheHits and diskCacheHits.\n"
+                "Any other line that is not a SimRequest is a "
+                "bad_request. momsim batch\nanswers pings too.\n",
+                serviceVersionString().c_str());
             return 0;
         }
         if (std::strcmp(argv[0], "client") == 0) {
@@ -258,42 +253,6 @@ runHelp(int argc, char **argv)
                 "p95 request latency across all clients — the\n"
                 "serving-throughput benchmark for the point-level "
                 "scheduler.\n");
-            return 0;
-        }
-        if (std::strcmp(argv[0], "coord") == 0) {
-            std::printf(
-                "momsim coord — run a sweep across a fleet of momsim "
-                "serve workers\n"
-                "\n"
-                "usage: momsim coord --workers LIST <bench> [bench "
-                "flags]\n"
-                "\n"
-                "flags:\n"
-                "  --workers LIST          comma-separated worker "
-                "addresses\n"
-                "                          (HOST:PORT or unix:PATH); "
-                "repeatable\n"
-                "  --connect-retries N     extra dial attempts per "
-                "worker (default 5)\n"
-                "  --retry-backoff-ms MS   first retry backoff; "
-                "doubled + jittered\n"
-                "                          per attempt (default 200)\n"
-                "  --worker-timeout-ms MS  silence window before a "
-                "worker is presumed\n"
-                "                          dead and its points re-dealt "
-                "(default 120000)\n"
-                "  --worker-cache-dir DIR  cacheDir workers use for "
-                "their own stores\n"
-                "\n"
-                "The coordinator plans the sweep locally (skipping "
-                "points already in\n--cache-dir), deals the rest to the "
-                "workers cost-balanced, streams\ncompleted rows into "
-                "the store as they arrive, re-deals a dead or\nsilent "
-                "worker's unfinished points to idle workers, and prints "
-                "the\ncanonical output — byte-identical to the "
-                "single-process run.\nBench flags (--quick, --workload, "
-                "--cache-dir, --csv, ...) pass\nthrough; --shard and "
-                "--merge reject (they are the coordinator's job).\n");
             return 0;
         }
         const BenchDef *def = findBench(argv[0]);
@@ -403,20 +362,12 @@ runBatch(int argc, char **argv)
         cfg.memCacheRows = static_cast<size_t>(memCacheRows);
     SimService service(cfg);
 
-    // batch speaks the fabric too (ping/shard_run over stdin/stdout) —
-    // the same handler serve wires in, which keeps the protocol
-    // testable without sockets.
-    momsim::fabric::WorkerHandler fabricHandler(service);
-
     ResponseSequencer::Config scfg;
     scfg.submit = [&service](const SimRequest &req) {
         return service.submit(req);
     };
-    scfg.rawSubmit = [&fabricHandler](
-                         const std::string &reqLine,
-                         const std::function<void(std::string)> &chunk,
-                         std::string &finalLine) {
-        return fabricHandler.handle(reqLine, chunk, finalLine);
+    scfg.pong = [&service](const std::string &id) {
+        return pongJson(id, service);
     };
     scfg.emit = [](const std::string &line) {
         // In-order, line-buffered: each response is one line, flushed,
@@ -516,8 +467,6 @@ main(int argc, char **argv)
         return runServe(argc - 2, argv + 2);
     if (std::strcmp(cmd, "client") == 0)
         return runClient(argc - 2, argv + 2);
-    if (std::strcmp(cmd, "coord") == 0)
-        return momsim::fabric::runCoord(argc - 2, argv + 2);
     if (std::strcmp(cmd, "loadgen") == 0)
         return runLoadgen(argc - 2, argv + 2);
     if (const BenchDef *def = findBench(cmd))

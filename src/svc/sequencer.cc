@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "svc/ping.hh"
 
 namespace momsim::svc
 {
@@ -97,53 +98,30 @@ ResponseSequencer::submitLoop()
         // Once delivery is dead there is no point simulating: drain
         // the queue so finish() completes, but skip the work.
         std::string json;
-        bool produced = false;
-        bool handled = false;
-        if (!_writeFailed.load(std::memory_order_acquire) &&
-            _cfg.rawSubmit) {
-            // Chunks enqueue under the slot's seq; the emitter streams
-            // them ahead of the final line. rawSubmit returns before
-            // the final is readied, so within one slot every chunk
-            // precedes the final by construction.
-            auto chunkFn = [this, seq = item.seq](std::string chunkLine) {
-                {
-                    MutexLock lock(_mutex);
-                    if (_writeFailed.load(std::memory_order_relaxed))
-                        return;     // undeliverable; drop quietly
-                    _chunks[seq].push_back(std::move(chunkLine));
-                }
-                _emitCv.notify_one();
-            };
-            std::string finalLine;
-            if (_cfg.rawSubmit(item.line, chunkFn, finalLine)) {
-                json = std::move(finalLine);
-                produced = true;
-                handled = true;
-            }
-        }
-        if (!handled &&
-            !_writeFailed.load(std::memory_order_acquire)) {
+        if (!_writeFailed.load(std::memory_order_acquire)) {
             SimRequest req;
             std::string error;
+            std::string pingId;
             SimResponse resp;
             if (SimRequest::fromJson(item.line, req, error)) {
                 resp = _cfg.submit(req);
                 resp.client =
                     req.client.empty() ? _cfg.clientTag : req.client;
+                json = resp.toJson(_cfg.withTiming);
+            } else if (_cfg.pong && parsePing(item.line, pingId)) {
+                json = _cfg.pong(pingId);
             } else {
                 resp = SimResponse::failure(salvageTopLevelId(item.line),
                                             errc::kBadRequest, error);
                 resp.client = _cfg.clientTag;
+                json = resp.toJson(_cfg.withTiming);
             }
-            json = resp.toJson(_cfg.withTiming);
-            produced = true;
         }
         {
             MutexLock lock(_mutex);
             // Even a dropped item claims its slot (empty marker) so
             // the emitter's in-order cursor can pass it.
-            _ready.emplace(item.seq,
-                           produced ? std::move(json) : std::string());
+            _ready.emplace(item.seq, std::move(json));
         }
         _emitCv.notify_one();
     }
@@ -155,46 +133,23 @@ ResponseSequencer::emitLoop()
     size_t next = 0;
     for (;;) {
         std::string json;
-        bool isChunk = false;
         {
             MutexLock lock(_mutex);
-            for (;;) {
-                if (_ready.count(next) != 0)
-                    break;
-                auto pending = _chunks.find(next);
-                if (pending != _chunks.end() && !pending->second.empty())
-                    break;
-                if (_inputDone && _pending.empty() && next >= _accepted)
-                    break;
+            while (_ready.count(next) == 0 &&
+                   !(_inputDone && _pending.empty() && next >= _accepted))
                 _emitCv.wait(_mutex);
-            }
-            // The head slot's streamed chunks go out as they arrive,
-            // strictly before the slot's final response; the cursor
-            // only advances on the final, so chunk/final interleaving
-            // never reorders across requests.
-            auto c = _chunks.find(next);
-            if (c != _chunks.end() && !c->second.empty()) {
-                json = std::move(c->second.front());
-                c->second.pop_front();
-                isChunk = true;
-            } else {
-                auto it = _ready.find(next);
-                if (it == _ready.end())
-                    return;     // all input drained and emitted
-                json = std::move(it->second);
-                _ready.erase(it);
-                _chunks.erase(next);    // stragglers of a dropped slot
-            }
+            auto it = _ready.find(next);
+            if (it == _ready.end())
+                return;     // all input drained and emitted
+            json = std::move(it->second);
+            _ready.erase(it);
         }
-        if (!isChunk)
-            ++next;
+        ++next;
         if (json.empty())
             continue;   // slot dropped after delivery died
         if (_cfg.emit(json)) {
-            if (!isChunk) {
-                MutexLock lock(_mutex);
-                ++_emittedCount;
-            }
+            MutexLock lock(_mutex);
+            ++_emittedCount;
             continue;
         }
         // Delivery is dead: flip to drain mode and wake everyone —

@@ -25,7 +25,8 @@
  *
  * Error responses echo the request's id even when the line does not
  * parse (salvageTopLevelId), so a client can always correlate a
- * failure with the request that caused it.
+ * failure with the request that caused it. A line that is not a
+ * request may still be a ping, answered in its slot by the pong hook.
  */
 
 #ifndef MOMSIM_SVC_SEQUENCER_HH
@@ -62,21 +63,11 @@ class ResponseSequencer
          *  Returning false marks delivery as dead. */
         std::function<bool(const std::string &jsonLine)> emit;
 
-        /**
-         * Optional transport-level interceptor for lines that are not
-         * plain SimRequests (the fabric protocol's "kind"-tagged
-         * messages). Called from a submitter thread before SimRequest
-         * parsing; returning true claims the line and @p finalLine is
-         * emitted in the request's sequence slot. Lines passed to
-         * @p chunk along the way stream back in the same slot *before*
-         * the final line — and stream live (as they are produced) once
-         * the slot is the oldest in flight, which is how a fabric
-         * shard_run's rows reach the coordinator per-completion while
-         * per-request ordering stays intact for everyone else.
-         */
-        std::function<bool(const std::string &line,
-                           const std::function<void(std::string)> &chunk,
-                           std::string &finalLine)> rawSubmit;
+        /** Answers a `{"kind":"ping"}` line (see svc/ping.hh) with
+         *  its pong line, given the ping's id. Tried only on lines
+         *  SimRequest::fromJson rejected; null answers pings with
+         *  bad_request like any other malformed line. */
+        std::function<std::string(const std::string &id)> pong;
 
         int parallel = 2;       ///< submitter threads (clamped 1..16)
         size_t maxPending = 0;  ///< input backlog bound; 0 => auto
@@ -138,9 +129,6 @@ class ResponseSequencer
     std::deque<Item> _pending GUARDED_BY(_mutex);
     /** seq -> response JSON. */
     std::map<size_t, std::string> _ready GUARDED_BY(_mutex);
-    /** seq -> streamed chunk lines, emitted before that slot's final
-     *  response (rawSubmit enqueues chunks strictly before _ready). */
-    std::map<size_t, std::deque<std::string>> _chunks GUARDED_BY(_mutex);
     bool _inputDone GUARDED_BY(_mutex) = false;
     size_t _accepted GUARDED_BY(_mutex) = 0;
     size_t _emittedCount GUARDED_BY(_mutex) = 0;

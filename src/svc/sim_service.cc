@@ -1,7 +1,6 @@
 #include "svc/sim_service.hh"
 
 #include <chrono>
-#include <unordered_set>
 
 #include "common/logging.hh"
 #include "driver/result_store.hh"
@@ -165,22 +164,6 @@ SimService::resolveGrid(const SimRequest &req, driver::SweepGrid &grid,
 SimResponse
 SimService::submit(const SimRequest &req)
 {
-    return execute(req, nullptr, nullptr);
-}
-
-SimResponse
-SimService::submitFiltered(const SimRequest &req,
-                           const std::vector<std::string> &pointIds,
-                           const RowFn &onRow)
-{
-    return execute(req, &pointIds, onRow);
-}
-
-SimResponse
-SimService::execute(const SimRequest &req,
-                    const std::vector<std::string> *pointIds,
-                    const RowFn &onRow)
-{
     struct ActiveGuard
     {
         std::atomic<int> &counter;
@@ -203,12 +186,6 @@ SimService::execute(const SimRequest &req,
             req.id, errc::kBadShard,
             strfmt("bad shard %d/%d (want 1 <= I <= N)", req.shardIndex,
                    req.shardCount));
-    }
-    if (pointIds && req.shardCount != 1) {
-        return SimResponse::failure(
-            req.id, errc::kBadShard,
-            "a filtered (shard_run) request must be unsharded — the "
-            "point filter is the shard");
     }
     if (req.batch < 1) {
         return SimResponse::failure(
@@ -282,49 +259,9 @@ SimService::execute(const SimRequest &req,
         planSweep(grid.expand(req.seed), repo, store,
                   req.shardIndex - 1, req.shardCount);
 
-    if (pointIds) {
-        // Keep only the dealt points: everything else becomes foreign
-        // (shard -1, which is never plan.shardIndex), so the runner
-        // simulates — and the counts describe — exactly the filter.
-        std::unordered_set<std::string> want(pointIds->begin(),
-                                             pointIds->end());
-        for (driver::PlannedPoint &p : plan.points) {
-            auto it = want.find(p.spec.canonicalId());
-            if (it == want.end())
-                p.shard = -1;
-            else
-                want.erase(it);
-        }
-        if (!want.empty()) {
-            // Report the first unknown id in the *request's* order:
-            // want is an unordered_set, and its begin() under multiple
-            // unknowns would pick a hash-order-dependent one — a
-            // nondeterministic response byte.
-            const std::string *unknown = nullptr;
-            for (const std::string &id : *pointIds) {
-                if (want.count(id) != 0) {
-                    unknown = &id;
-                    break;
-                }
-            }
-            return SimResponse::failure(
-                req.id, errc::kBadRequest,
-                strfmt("unknown point \"%s\" (not in this sweep)",
-                       unknown->c_str()));
-        }
-        // Cache hits among the dealt points replay right away, in
-        // sweep order, before any simulation starts.
-        if (onRow) {
-            for (const driver::PlannedPoint &p : plan.points) {
-                if (p.shard == plan.shardIndex && p.cached)
-                    onRow(p, p.row);
-            }
-        }
-    }
-
     _sched.noteDiskCacheHits(plan.cachedMineCount());
     driver::ResultSink sink =
-        driver::ExperimentRunner(repo, _sched).run(plan, store, onRow);
+        driver::ExperimentRunner(repo, _sched).run(plan, store);
 
     SimResponse resp;
     resp.id = req.id;

@@ -35,7 +35,8 @@
 #define MOMSIM_SVC_SIM_SERVICE_HH
 
 #include <atomic>
-#include <functional>
+#include <chrono>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -75,31 +76,21 @@ class SimService
      */
     SimResponse submit(const SimRequest &req);
 
-    /** Per-row callback of submitFiltered: the planned point (with
-     *  its cache key) and its row, cached replays first (in sweep
-     *  order), then fresh rows as they complete. Serialized. */
-    using RowFn = std::function<void(const driver::PlannedPoint &,
-                                     const driver::ResultRow &)>;
-
-    /**
-     * Execute only the sweep points of @p req whose canonical ids are
-     * in @p pointIds — the fabric worker's entry point: a coordinator
-     * plans the full sweep itself and deals each worker a subset by
-     * id. The request must be unsharded (shard 1/1; the filter *is*
-     * the shard), and every id must name a point of the expanded
-     * sweep. @p onRow fires per completed point (cache hits replay
-     * immediately); the response carries the same rows plus the
-     * full-sweep totalPoints, like a sharded submit would.
-     */
-    SimResponse submitFiltered(const SimRequest &req,
-                               const std::vector<std::string> &pointIds,
-                               const RowFn &onRow);
-
-    /** Requests currently inside submit()/submitFiltered(). The serve
-     *  ping reports this. */
+    /** Requests currently inside submit(). The serve ping reports
+     *  this. */
     int inFlight() const
     {
         return _active.load(std::memory_order_relaxed);
+    }
+
+    /** Milliseconds since this service was constructed (the ping's
+     *  uptimeMs). */
+    uint64_t uptimeMs() const
+    {
+        return static_cast<uint64_t>(
+            std::chrono::duration_cast<std::chrono::milliseconds>(
+                std::chrono::steady_clock::now() - _start)
+                .count());
     }
 
     /** The scheduler's gauge set (points simulated / dedup-joined /
@@ -136,14 +127,10 @@ class SimService
     bool resolveGrid(const SimRequest &req, driver::SweepGrid &grid,
                      std::string &benchName, SimResponse &error) const;
 
-    /** Shared core of submit/submitFiltered. @p pointIds null means
-     *  unfiltered. */
-    SimResponse execute(const SimRequest &req,
-                        const std::vector<std::string> *pointIds,
-                        const RowFn &onRow);
-
     driver::PointScheduler _sched;
     std::atomic<int> _active{ 0 };
+    const std::chrono::steady_clock::time_point _start =
+        std::chrono::steady_clock::now();
     workloads::WorkloadRepo _paperRepo;
     workloads::WorkloadRepo _tinyRepo;
 

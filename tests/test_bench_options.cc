@@ -3,8 +3,8 @@
  * Tests for the bench harness's command-line contract: every flag
  * round-trips through BenchOptions::parseInto, unknown flags and
  * malformed values reject with a one-line error (never by reading past
- * argv), --shard arguments are validated, and takesValue() agrees with
- * the parser about which flags consume the following token.
+ * argv), --shard arguments are validated, and the flag table agrees
+ * with the parser about which flags consume the following token.
  */
 
 #include <gtest/gtest.h>
@@ -113,7 +113,6 @@ TEST(BenchOptions, ListWorkloadsIsAFlagNotAValue)
 {
     BenchOptions opts = expectOk({ "--list-workloads" });
     EXPECT_TRUE(opts.listWorkloads);
-    EXPECT_FALSE(BenchOptions::takesValue("--list-workloads"));
 }
 
 TEST(BenchOptions, UnknownFlagsReject)
@@ -140,19 +139,6 @@ TEST(BenchOptions, BatchFlagIsGone)
     // --batch K was removed; it is an unknown flag like any other.
     EXPECT_EQ(expectError({ "--batch", "4" }), "unknown argument: --batch");
     EXPECT_FALSE(BenchOptions::isKnownFlag("--batch"));
-    EXPECT_FALSE(BenchOptions::takesValue("--batch"));
-}
-
-TEST(BenchOptions, TakesValueMatchesTheParser)
-{
-    for (const char *flag : { "--jobs", "-j", "--seed",
-                              "--max-cycles",
-                              "--csv", "--json", "--cache-dir", "--shard",
-                              "--merge", "--workload" })
-        EXPECT_TRUE(BenchOptions::takesValue(flag)) << flag;
-    for (const char *flag : { "--quick", "--dry-run", "--list-workloads",
-                              "--help", "-h" })
-        EXPECT_FALSE(BenchOptions::takesValue(flag)) << flag;
 }
 
 TEST(BenchOptions, FlagTableAgreesWithTheParser)

@@ -3,9 +3,9 @@
  * Tests for the socket transport behind `momsim serve`: the shared
  * ResponseSequencer state machine (in-order emission, id salvage,
  * blank-line skipping, kOverloaded shedding, write-failure draining),
- * the Listener (TCP + unix accept, wake), and Connection end to end
+ * the Listener (TCP + unix accept, wake), Connection end to end
  * over a real loopback socket — including the abrupt-disconnect case
- * the daemon must survive.
+ * the daemon must survive — and the ping answered in its slot.
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +26,7 @@
 #include "common/net.hh"
 #include "svc/connection.hh"
 #include "svc/listener.hh"
+#include "svc/ping.hh"
 #include "svc/sequencer.hh"
 #include "svc/sim_service.hh"
 
@@ -459,6 +460,91 @@ TEST(ServeConnection, SurvivesAbruptClientDisconnect)
     // client is gone.
     SimResponse after = service.submit(tinyRequest("after"));
     EXPECT_TRUE(after.ok) << after.errorMessage;
+}
+
+// ---------------------------------------------------------------------
+// Ping
+// ---------------------------------------------------------------------
+
+/** A sequencer config that collects emitted lines and answers pings
+ *  from @p service, as both transports wire it. */
+ResponseSequencer::Config
+pingingConfig(SimService &service, std::vector<std::string> &out,
+              std::mutex &outMutex)
+{
+    ResponseSequencer::Config cfg;
+    cfg.pong = [&service](const std::string &id) {
+        return pongJson(id, service);
+    };
+    cfg.emit = [&out, &outMutex](const std::string &line) {
+        std::lock_guard<std::mutex> lock(outMutex);
+        out.push_back(line);
+        return true;
+    };
+    return cfg;
+}
+
+TEST(Ping, PongCarriesIdVersionAndTheServiceGauges)
+{
+    SimService service;
+    ASSERT_TRUE(service.submit(tinyRequest("warm")).ok);
+
+    std::vector<std::string> out;
+    std::mutex outMutex;
+    ResponseSequencer::Config cfg = pingingConfig(service, out, outMutex);
+    cfg.submit = [&service](const SimRequest &req) {
+        return service.submit(req);
+    };
+    {
+        ResponseSequencer seq(cfg);
+        seq.push("{\"kind\":\"ping\",\"id\":\"p\"}");
+        seq.finish();
+    }
+    ASSERT_EQ(out.size(), 1u);
+    const std::string head = "{\"kind\":\"pong\",\"id\":\"p\","
+                             "\"version\":\"" +
+                             serviceVersionString() + "\",\"uptimeMs\":";
+    EXPECT_EQ(out[0].rfind(head, 0), 0u) << out[0];
+    // The one point simulated above, and nothing running now.
+    const std::string tail = ",\"inFlight\":0,\"pointsSimulated\":1,"
+                             "\"pointsDeduped\":0,\"memCacheHits\":0,"
+                             "\"diskCacheHits\":0}";
+    ASSERT_GE(out[0].size(), tail.size());
+    EXPECT_EQ(out[0].substr(out[0].size() - tail.size()), tail) << out[0];
+}
+
+TEST(Ping, RequestsAndOtherKindsKeepTheirSlots)
+{
+    SimService service;
+    std::vector<std::string> out;
+    std::mutex outMutex;
+    ResponseSequencer::Config cfg = pingingConfig(service, out, outMutex);
+    cfg.submit = echoSubmit;
+    cfg.parallel = 4;
+    {
+        ResponseSequencer seq(cfg);
+        seq.push(requestLine("r1"));
+        seq.push("{\"kind\":\"ping\",\"id\":\"p\"}");
+        seq.push("{\"kind\":\"run\",\"id\":\"s\",\"points\":[]}");
+        seq.push("{\"kind\":\"ping\",\"id\":\"q\",\"extra\":1}");
+        seq.push(requestLine("r2"));
+        seq.finish();
+    }
+    ASSERT_EQ(out.size(), 5u);
+    EXPECT_NE(out[0].find("\"id\":\"r1\",\"ok\":true"),
+              std::string::npos) << out[0];
+    EXPECT_EQ(out[1].rfind("{\"kind\":\"pong\",\"id\":\"p\",", 0), 0u)
+        << out[1];
+    // No other "kind" is served: an unknown kind and a ping with an
+    // unknown field are ordinary bad requests, in their slots.
+    for (size_t i : { size_t { 2 }, size_t { 3 } }) {
+        EXPECT_NE(out[i].find("\"code\":\"bad_request\""),
+                  std::string::npos) << out[i];
+    }
+    EXPECT_NE(out[2].find("\"id\":\"s\""), std::string::npos) << out[2];
+    EXPECT_NE(out[3].find("\"id\":\"q\""), std::string::npos) << out[3];
+    EXPECT_NE(out[4].find("\"id\":\"r2\",\"ok\":true"),
+              std::string::npos) << out[4];
 }
 
 TEST(SimService, SharedCacheWarmsAcrossRequests)

@@ -2,7 +2,7 @@
 """momlint — momsim's repo-specific determinism linter.
 
 The repo's tests pin byte-identical output (result rows, service
-responses, fabric frames), so whole bug classes that are "style" in
+responses, ping/pong lines), so whole bug classes that are "style" in
 other codebases are correctness bugs here. momlint encodes the ones a
 generic linter cannot know about:
 
@@ -22,7 +22,7 @@ generic linter cannot know about:
                    request (seeds come from SplitMix64 on the point id).
 
   schema-lock      The serialized field list of ResultRow / the service
-                   protocol / the fabric protocol changed without a
+                   protocol / the serve ping changed without a
                    schemaVersion bump. Field lists are fingerprinted in
                    tests/schema.lock; regenerate with
                    --update-schema-lock *after* bumping the version
@@ -53,7 +53,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # Serialization/emit/response paths: everything whose output a client or
 # a stored file sees. CLI entry points (*_main.cc) are excluded — their
 # printf tables are human-facing reports, not wire or store bytes.
-EMIT_DIRS = ("src/svc", "src/fabric")
+EMIT_DIRS = ("src/svc",)
 EMIT_FILES = (
     "src/driver/result_store.cc",
     "src/driver/result_store.hh",
@@ -330,8 +330,8 @@ SCHEMA_UNITS = (
      "src/svc/sim_request.hh", "kSimRequestSchemaVersion"),
     ("sim_response", "src/svc/sim_response.cc",
      "src/svc/sim_response.hh", "kSimResponseSchemaVersion"),
-    ("fabric_protocol", "src/fabric/protocol.cc",
-     "src/fabric/protocol.hh", "kFabricSchemaVersion"),
+    ("serve_ping", "src/svc/ping.cc",
+     "src/svc/ping.hh", "kPingSchemaVersion"),
 )
 
 # A serialized field name as it appears in C++ source: \"name\":
