@@ -117,8 +117,8 @@ int
 connectRetry(const std::function<int(std::string &)> &dial, int retries,
              int backoffMs, std::string &error, int *attempts)
 {
-    // Per-thread PRNG so concurrent dialers (loadgen runs one per
-    // client) never share — or synchronize on — generator state.
+    // Per-thread PRNG so concurrent dialers (benchmark client threads)
+    // never share — or synchronize on — generator state.
     thread_local std::minstd_rand rng(
         static_cast<unsigned>(::getpid()) * 2654435761u ^
         static_cast<unsigned>(

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/int_parse.hh"
 #include "common/logging.hh"
 #include "driver/result_store.hh"
 #include "workloads/workload_spec.hh"
@@ -189,25 +190,25 @@ BenchOptions::parseInto(int argc, char **argv, BenchOptions &out,
             std::strcmp(arg, "-j") == 0) {
             if (!value(i, &v))
                 return false;
-            opts.jobs = std::atoi(v);
-            if (opts.jobs < 1) {
+            uint64_t jobs = 0;
+            if (!parseUintStrict(v, 1, 1 << 20, jobs)) {
                 error = strfmt("bad --jobs '%s' (want an integer >= 1)", v);
                 return false;
             }
+            opts.jobs = static_cast<int>(jobs);
         } else if (std::strcmp(arg, "--quick") == 0) {
             opts.quick = true;
         } else if (std::strcmp(arg, "--seed") == 0) {
             if (!value(i, &v))
                 return false;
-            opts.baseSeed = std::strtoull(v, nullptr, 0);
+            if (!parseUintStrict(v, 0, UINT64_MAX, opts.baseSeed, 0)) {
+                error = strfmt("bad --seed '%s' (want an integer >= 0)", v);
+                return false;
+            }
         } else if (std::strcmp(arg, "--max-cycles") == 0) {
             if (!value(i, &v))
                 return false;
-            char *end = nullptr;
-            opts.maxCycles = std::strtoull(v, &end, 0);
-            // strtoull silently wraps negative input; reject it.
-            if (!end || *end != '\0' || *v == '\0' || *v == '-' ||
-                opts.maxCycles < 1) {
+            if (!parseUintStrict(v, 1, UINT64_MAX, opts.maxCycles, 0)) {
                 error = strfmt("bad --max-cycles '%s' (want an integer "
                                ">= 1)", v);
                 return false;

@@ -151,9 +151,6 @@ class BenchHarness
     /** The workload cache (Paper scale normally, Tiny under --quick). */
     workloads::WorkloadRepo &repo() { return _repo; }
 
-    /** The scheduler sweeps run on (--jobs workers). */
-    PointScheduler &scheduler() { return _sched; }
-
     /**
      * Plan the grid (cache lookups, shard assignment), honour
      * --dry-run, execute the plan on the scheduler, then honour any

@@ -13,8 +13,7 @@ benchRegistry()
         makeTable1Def(),  makeTable2Def(),   makeTable3Def(),
         makeFig4Def(),    makeFig5Def(),     makeFig6Def(),
         makeFig8Def(),    makeFig9Def(),     makeTable4Def(),
-        makeAblationDef(), makeWorkloadMixDef(), makeSimThroughputDef(),
-        makeExplorerDef(),
+        makeAblationDef(), makeWorkloadMixDef(), makeExplorerDef(),
     };
     return registry;
 }

@@ -78,7 +78,6 @@ BenchDef makeTable2Def();
 BenchDef makeTable3Def();
 BenchDef makeTable4Def();
 BenchDef makeAblationDef();
-BenchDef makeSimThroughputDef();
 BenchDef makeWorkloadMixDef();
 BenchDef makeExplorerDef();
 

@@ -17,8 +17,6 @@
  *                            unix socket, warm across requests
  *   momsim client [...]      loopback client for serve (stdin -> wire
  *                            -> stdout); also the test harness's tool
- *   momsim loadgen [...]     drive a serve daemon with concurrent
- *                            clients and report throughput/latency
  *
  * batch flags:
  *   --jobs N      simulation pool workers (default: all hardware)
@@ -39,7 +37,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -74,8 +71,6 @@ usage(std::FILE *to, int rc)
                  "socket)\n"
                  "  client        stream stdin to a momsim serve "
                  "daemon\n"
-                 "  loadgen       drive a serve daemon with concurrent "
-                 "clients\n"
                  "\n"
                  "run `momsim help` for the shared bench flags.\n");
     return rc;
@@ -91,7 +86,7 @@ runList()
                     def.oldBinary.c_str(), def.summary.c_str());
     }
     std::printf("\nplus: batch (JSONL request server), serve (socket "
-                "daemon), client, loadgen, help, list\n");
+                "daemon), client, help, list\n");
     return 0;
 }
 
@@ -214,47 +209,6 @@ runHelp(int argc, char **argv)
                 "\"connect_failed\",...}} line and exits 1.\n");
             return 0;
         }
-        if (std::strcmp(argv[0], "loadgen") == 0) {
-            std::printf(
-                "momsim loadgen — drive a serve daemon with concurrent "
-                "clients\n"
-                "\n"
-                "usage: momsim loadgen (--connect HOST:PORT | --unix "
-                "PATH) [flags]\n"
-                "\n"
-                "flags:\n"
-                "  --clients K             concurrent client "
-                "connections (default 4)\n"
-                "  --requests N            requests per client "
-                "(default 8)\n"
-                "  --overlap PCT           %% of requests drawn from a "
-                "shared sweep all\n"
-                "                          clients repeat (exercises "
-                "dedup + row cache);\n"
-                "                          the rest are per-client "
-                "unique (default 50)\n"
-                "  --max-cycles N          sweep depth per request "
-                "(default 20000)\n"
-                "  --threads LIST          thread counts swept per "
-                "request (default 1,2,4)\n"
-                "  --isas LIST             ISAs swept per request "
-                "(default mmx)\n"
-                "  --json FILE             write the report as JSON "
-                "(for CI artifacts)\n"
-                "  --connect-retries N     extra dial attempts "
-                "(default 5)\n"
-                "  --retry-backoff-ms MS   first retry backoff, "
-                "doubled + jittered\n"
-                "                          (default 200)\n"
-                "\n"
-                "Each client sends its requests back-to-back over one "
-                "connection and\nmeasures per-request latency. The "
-                "report aggregates answered points\nper second and p50/"
-                "p95 request latency across all clients — the\n"
-                "serving-throughput benchmark for the point-level "
-                "scheduler.\n");
-            return 0;
-        }
         const BenchDef *def = findBench(argv[0]);
         if (!def) {
             std::fprintf(stderr, "momsim help: unknown bench '%s'\n",
@@ -292,6 +246,7 @@ runHelp(int argc, char **argv)
 int
 runBatch(int argc, char **argv)
 {
+    const char *cmd = "momsim batch";
     int jobs = 0;
     int parallel = 2;
     int memCacheRows = -1;
@@ -300,54 +255,27 @@ runBatch(int argc, char **argv)
     std::string clientTag;
     for (int i = 0; i < argc; ++i) {
         const char *arg = argv[i];
-        // Strict like the bench flags: the whole token must be an
-        // integer ("4x" or "2/3" reject, they don't truncate).
-        auto intValueMin = [&](int minValue, int &out) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "momsim batch: %s expects a value\n",
-                             arg);
-                return false;
-            }
-            const char *v = argv[++i];
-            char *end = nullptr;
-            long parsed = std::strtol(v, &end, 10);
-            if (*v == '\0' || !end || *end != '\0' ||
-                parsed < minValue || parsed > 1 << 20) {
-                std::fprintf(stderr,
-                             "momsim batch: bad %s '%s' (want an "
-                             "integer >= %d)\n", arg, v, minValue);
-                return false;
-            }
-            out = static_cast<int>(parsed);
-            return true;
-        };
-        auto intValue = [&](int &out) { return intValueMin(1, out); };
         if (std::strcmp(arg, "--jobs") == 0 ||
             std::strcmp(arg, "-j") == 0) {
-            if (!intValue(jobs))
+            if (!intFlag(cmd, argc, argv, i, 1, jobs))
                 return 2;
         } else if (std::strcmp(arg, "--parallel") == 0) {
-            if (!intValue(parallel))
+            if (!intFlag(cmd, argc, argv, i, 1, parallel))
                 return 2;
             if (parallel > 16)
                 parallel = 16;
         } else if (std::strcmp(arg, "--mem-cache-rows") == 0) {
-            if (!intValueMin(0, memCacheRows))
+            if (!intFlag(cmd, argc, argv, i, 0, memCacheRows))
                 return 2;
         } else if (std::strcmp(arg, "--stats") == 0) {
             stats = true;
         } else if (std::strcmp(arg, "--client") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "momsim batch: --client expects a value\n");
+            if (!stringFlag(cmd, argc, argv, i, clientTag))
                 return 2;
-            }
-            clientTag = argv[++i];
         } else if (std::strcmp(arg, "--no-timing") == 0) {
             withTiming = false;
         } else {
-            std::fprintf(stderr, "momsim batch: unknown argument %s\n",
-                         arg);
+            std::fprintf(stderr, "%s: unknown argument %s\n", cmd, arg);
             return 2;
         }
     }
@@ -467,8 +395,6 @@ main(int argc, char **argv)
         return runServe(argc - 2, argv + 2);
     if (std::strcmp(cmd, "client") == 0)
         return runClient(argc - 2, argv + 2);
-    if (std::strcmp(cmd, "loadgen") == 0)
-        return runLoadgen(argc - 2, argv + 2);
     if (const BenchDef *def = findBench(cmd))
         return runRegistered(*def, argc - 2, argv + 2);
     std::fprintf(stderr, "momsim: unknown command '%s'\n\n", cmd);

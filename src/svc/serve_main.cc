@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -13,6 +12,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "common/int_parse.hh"
 #include "common/logging.hh"
 #include "common/net.hh"
 #include "svc/connection.hh"
@@ -22,36 +22,6 @@
 
 namespace momsim::svc
 {
-
-namespace
-{
-
-/**
- * Strict integer flag value, batch-style: the whole token must be an
- * integer in [minValue, 1<<20] ("4x" and "2/3" reject, never
- * truncate). Advances @p i past the consumed value.
- */
-bool
-intFlag(const char *cmd, int argc, char **argv, int &i, int minValue,
-        int &out)
-{
-    const char *arg = argv[i];
-    if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: %s expects a value\n", cmd, arg);
-        return false;
-    }
-    const char *v = argv[++i];
-    char *end = nullptr;
-    long parsed = std::strtol(v, &end, 10);
-    if (*v == '\0' || !end || *end != '\0' || parsed < minValue ||
-        parsed > 1 << 20) {
-        std::fprintf(stderr, "%s: bad %s '%s' (want an integer >= %d)\n",
-                     cmd, arg, v, minValue);
-        return false;
-    }
-    out = static_cast<int>(parsed);
-    return true;
-}
 
 bool
 stringFlag(const char *cmd, int argc, char **argv, int &i,
@@ -64,6 +34,27 @@ stringFlag(const char *cmd, int argc, char **argv, int &i,
     out = argv[++i];
     return true;
 }
+
+bool
+intFlag(const char *cmd, int argc, char **argv, int &i, int minValue,
+        int &out)
+{
+    std::string v;
+    uint64_t parsed = 0;
+    if (!stringFlag(cmd, argc, argv, i, v))
+        return false;
+    if (!parseUintStrict(v.c_str(), static_cast<uint64_t>(minValue),
+                         1 << 20, parsed)) {
+        std::fprintf(stderr, "%s: bad %s '%s' (want an integer >= %d)\n",
+                     cmd, argv[i - 1], v.c_str(), minValue);
+        return false;
+    }
+    out = static_cast<int>(parsed);
+    return true;
+}
+
+namespace
+{
 
 /** Reap finished connections (join + drop); returns the live count. */
 size_t
@@ -305,18 +296,15 @@ runClient(int argc, char **argv)
     int port = -1;
     if (unixPath.empty()) {
         size_t colon = connectAddr.rfind(':');
-        if (colon != std::string::npos) {
-            char *end = nullptr;
-            long parsed =
-                std::strtol(connectAddr.c_str() + colon + 1, &end, 10);
-            if (end && *end == '\0' && parsed >= 0 && parsed <= 65535)
-                port = static_cast<int>(parsed);
-        }
-        if (port < 0) {
+        uint64_t parsed = 0;
+        if (colon == std::string::npos ||
+            !parseUintStrict(connectAddr.c_str() + colon + 1, 0, 65535,
+                             parsed)) {
             std::fprintf(stderr, "%s: bad --connect '%s' (want "
                          "HOST:PORT)\n", cmd, connectAddr.c_str());
             return 2;
         }
+        port = static_cast<int>(parsed);
         host = connectAddr.substr(0, colon);
     }
 

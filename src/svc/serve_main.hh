@@ -12,23 +12,33 @@
  *                    server, responses to stdout. The test harness's
  *                    counterpart to serve, and a worked example of
  *                    the wire protocol.
- *   momsim loadgen — closed-loop load generator: K concurrent client
- *                    connections issuing sweep requests (with a
- *                    configurable cross-client overlap fraction) and
- *                    reporting points/s plus p50/p95 request latency.
  *
- * All take (argc, argv) past their subcommand token, batch-style.
+ * Load under concurrent clients is measured by the benchmark's
+ * serve_mixed workload (perfbench/README.md), not by a subcommand.
+ * Both take (argc, argv) past their subcommand token, batch-style,
+ * and share the flag readers below with `momsim batch`.
  */
 
 #ifndef MOMSIM_SVC_SERVE_MAIN_HH
 #define MOMSIM_SVC_SERVE_MAIN_HH
+
+#include <string>
 
 namespace momsim::svc
 {
 
 int runServe(int argc, char **argv);
 int runClient(int argc, char **argv);
-int runLoadgen(int argc, char **argv);
+
+/**
+ * Read the value of flag argv[i] into @p out, advancing @p i past it;
+ * on a missing value (or, for intFlag, anything but an integer in
+ * [@p minValue, 1<<20]) print "<cmd>: ..." on stderr and return false.
+ */
+bool intFlag(const char *cmd, int argc, char **argv, int &i, int minValue,
+             int &out);
+bool stringFlag(const char *cmd, int argc, char **argv, int &i,
+                std::string &out);
 
 } // namespace momsim::svc
 

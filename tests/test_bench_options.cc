@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -244,9 +245,23 @@ TEST(BenchOptions, ShardValidationRejectsOutOfRangeAndGarbage)
 
 TEST(BenchOptions, JobsMustBePositive)
 {
-    expectError({ "--jobs", "0" });
-    expectError({ "--jobs", "-2" });
-    expectError({ "--jobs", "banana" });
+    // The whole token must be an integer: "4x" once parsed as 4.
+    for (const char *v : { "0", "-2", "banana", "4x", "", "2097152",
+                           "99999999999999999999" })
+        EXPECT_NE(expectError({ "--jobs", v }).find("bad --jobs"),
+                  std::string::npos) << "'" << v << "'";
+    EXPECT_EQ(expectOk({ "--jobs", "1048576" }).jobs, 1 << 20);
+}
+
+TEST(BenchOptions, SeedIsStrict)
+{
+    EXPECT_EQ(expectOk({ "--seed", "0" }).baseSeed, 0u);
+    EXPECT_EQ(expectOk({ "--seed", "18446744073709551615" }).baseSeed,
+              UINT64_MAX);
+    // Garbage once parsed as seed 0 and overflow as UINT64_MAX.
+    for (const char *v : { "abc", "7x", "", "-1", "18446744073709551616" })
+        EXPECT_NE(expectError({ "--seed", v }).find("bad --seed"),
+                  std::string::npos) << "'" << v << "'";
 }
 
 TEST(BenchOptions, MaxCyclesRoundTripsAndRejectsGarbage)
@@ -257,7 +272,9 @@ TEST(BenchOptions, MaxCyclesRoundTripsAndRejectsGarbage)
     EXPECT_EQ(expectOk({ "--max-cycles", "400000000" }).maxCycles,
               400000000u);
     EXPECT_EQ(expectOk({ "--max-cycles", "0x100" }).maxCycles, 256u);
-    for (const char *v : { "0", "banana", "12banana", "", "-5" })
+    // " -5" once wrapped to 2^64-5 and overflow saturated; both reject.
+    for (const char *v : { "0", "banana", "12banana", "", "-5", " -5",
+                           "99999999999999999999" })
         EXPECT_NE(expectError({ "--max-cycles", v })
                       .find("bad --max-cycles"),
                   std::string::npos) << "'" << v << "'";

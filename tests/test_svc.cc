@@ -2,14 +2,15 @@
  * @file
  * Tests for the service API boundary (src/svc/): the SimRequest wire
  * format round-trips and rejects unknown fields / foreign versions,
- * the bench registry is consistent, SimService::submit returns
- * structured errors on every path that used to exit(), and concurrent
- * submissions from N client threads are byte-identical to a serial
- * replay.
+ * the bench registry is consistent and every entry has a CLI golden,
+ * SimService::submit returns structured errors on every path that used
+ * to exit(), and concurrent submissions from N client threads are
+ * byte-identical to a serial replay.
  */
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -179,7 +180,7 @@ TEST(SimRequest, RejectsUnknownFieldsAndForeignVersions)
 TEST(BenchRegistry, EntriesAreWellFormed)
 {
     const std::vector<BenchDef> &regs = benchRegistry();
-    ASSERT_GE(regs.size(), 13u);    // 12 figures/tables + explorer
+    ASSERT_GE(regs.size(), 12u);    // 11 figures/tables + explorer
     for (const BenchDef &def : regs) {
         EXPECT_FALSE(def.name.empty());
         EXPECT_FALSE(def.oldBinary.empty()) << def.name;
@@ -200,6 +201,19 @@ TEST(BenchRegistry, EntriesAreWellFormed)
         for (size_t j = i + 1; j < regs.size(); ++j)
             EXPECT_NE(regs[i].name, regs[j].name);
     EXPECT_EQ(findBench("nonsense"), nullptr);
+}
+
+TEST(BenchRegistry, EveryBenchHasACliGolden)
+{
+    // cli_equivalence_<name> byte-gates each bench against this file,
+    // but CMakeLists.txt lists those gates by hand: without a golden a
+    // newly registered bench would run ungated.
+    for (const BenchDef &def : benchRegistry()) {
+        const std::string path = std::string(MOMSIM_GOLDEN_CLI_DIR) +
+                                 "/" + def.name + "_quick.stdout";
+        EXPECT_TRUE(std::ifstream(path).good())
+            << "registered bench '" << def.name << "' has no " << path;
+    }
 }
 
 TEST(BenchRegistry, GridFactoriesMatchThePaperShapes)
