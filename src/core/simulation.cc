@@ -92,6 +92,12 @@ Simulation::advance(uint64_t cycleBudget)
                 continue;
             const WorkloadProgram &wp =
                 _rotation[_running[static_cast<size_t>(tid)]];
+            // Conservation: a completed context committed its whole
+            // trace, each record weighted as the program's mix counts it.
+            MOMSIM_ASSERT(_core->threadCommittedEq(tid) ==
+                              wp.prog->mix().eqInsts,
+                          "completed context's committed eq != its "
+                          "program's eqInsts");
             _completions += 1;
             _mmxWorkDone += wp.mmxEq;
             if (_completions >= _target) {
@@ -134,6 +140,11 @@ Simulation::finish()
         partial += static_cast<uint64_t>(frac *
                        static_cast<double>(wp.mmxEq));
     }
+
+    // Conservation: the commit counter counts every graduated record.
+    MOMSIM_ASSERT(_core->stats().get("commits") ==
+                      _core->committedRecords(),
+                  "core commits counter != committed records");
 
     RunResult res;
     res.cycles = _core->now();

@@ -117,6 +117,22 @@ SmtCore::SmtCore(const CoreConfig &cfg, mem::MemorySystem &mem)
     _cold.assign(_numSlots, RobCold{});
     _waiters.assign(_numSlots, {});
 
+    // Fixed-capacity issue queues and stream list, in one allocation.
+    const int iqCaps[4] = { cfg.intQueue, cfg.memQueue, cfg.fpQueue,
+                            cfg.simdQueue };
+    size_t queueEntries = _numSlots;
+    for (int cap : iqCaps)
+        queueEntries += static_cast<size_t>(std::max(cap, 0));
+    _queueStore = std::make_unique<IqEntry[]>(queueEntries);
+    IqEntry *qbase = _queueStore.get();
+    for (int k = 0; k < 4; ++k) {
+        _iq[k].at = qbase;
+        _iq[k].cap = static_cast<uint32_t>(std::max(iqCaps[k], 0));
+        qbase += _iq[k].cap;
+    }
+    _activeStreams.at = qbase;
+    _activeStreams.cap = static_cast<uint32_t>(_numSlots);
+
     for (int tid = 0; tid < cfg.numThreads; ++tid) {
         Thread &t = _threads[static_cast<size_t>(tid)];
         t.slotBase = static_cast<uint32_t>(
@@ -141,24 +157,31 @@ SmtCore::SmtCore(const CoreConfig &cfg, mem::MemorySystem &mem)
         if (_freeRegs[p] < 8)
             panic("physical register file too small for rename slack");
     }
+    // Never gates: at most one register per in-flight slot is taken.
+    _freeRegs[kNoDstPool] = 1 << 30;
 
-    _fetchOrderBuf.reserve(static_cast<size_t>(cfg.numThreads));
-
-    // Resolve the hot counters once: the per-event cost becomes an
-    // indexed increment instead of a string-keyed lookup (StatIds stay
-    // valid across later registrations).
+    // Resolve the hot-path counters once: every per-event update below
+    // is an indexed increment instead of a string-keyed lookup (StatIds
+    // stay valid as the group grows).
     _ctrCommits = _stats.id("commits");
-    _ctrCommitInt = _stats.id("commitInt");
-    _ctrCommitFp = _stats.id("commitFp");
-    _ctrCommitSimd = _stats.id("commitSimd");
-    _ctrCommitMem = _stats.id("commitMem");
+    _ctrCommitMix[static_cast<int>(isa::MixGroup::Int)] =
+        _stats.id("commitInt");
+    _ctrCommitMix[static_cast<int>(isa::MixGroup::Fp)] =
+        _stats.id("commitFp");
+    _ctrCommitMix[static_cast<int>(isa::MixGroup::SimdArith)] =
+        _stats.id("commitSimd");
+    _ctrCommitMix[static_cast<int>(isa::MixGroup::Mem)] =
+        _stats.id("commitMem");
     _ctrIssued = _stats.id("issued");
     _ctrDispatched = _stats.id("dispatched");
     _ctrFetched = _stats.id("fetched");
     _ctrCondBranches = _stats.id("condBranches");
-    _ctrRobFullStalls = _stats.id("robFullStalls");
-    _ctrIqFullStalls = _stats.id("iqFullStalls");
-    _ctrRegFullStalls = _stats.id("regFullStalls");
+    _ctrGateStalls[static_cast<int>(DispatchGate::RobFull)] =
+        _stats.id("robFullStalls");
+    _ctrGateStalls[static_cast<int>(DispatchGate::IqFull)] =
+        _stats.id("iqFullStalls");
+    _ctrGateStalls[static_cast<int>(DispatchGate::RegFull)] =
+        _stats.id("regFullStalls");
     _ctrIdleCyclesSkipped = _stats.id("idleCyclesSkipped");
     _ctrCommitStoreStalls = _stats.id("commitStoreStalls");
     _ctrMispredicts = _stats.id("mispredicts");
@@ -199,16 +222,33 @@ SmtCore::threadCommittedEq(int tid) const
     return _threads[static_cast<size_t>(tid)].committedEq;
 }
 
-int
-SmtCore::physPoolOf(isa::RegRef reg) const
+namespace
 {
-    switch (isa::regClass(reg)) {
-      case RegClass::Int: return 0;
-      case RegClass::Fp:  return 1;
-      case RegClass::Mmx:
-      case RegClass::Mom: return 2;
-    }
-    return 0;
+
+/// Physical register pool by isa::RegClass: int, fp, and one SIMD file
+/// shared by MMX and MOM registers.
+constexpr uint8_t kPoolOfRegClass[4] = { 0, 1, 2, 2 };
+
+static_assert(isa::kNoReg == 255,
+              "rename-table entry kNoReg must stay the always -1 entry");
+
+} // namespace
+
+SmtCore::DecodedOp
+SmtCore::decode(const isa::TraceInst &inst)
+{
+    const isa::OpInfo &info = isa::opInfo(inst.opcode());
+    DecodedOp d;
+    d.cls = static_cast<uint8_t>(info.cls);
+    d.qkind = static_cast<uint8_t>(isa::queueKind(info.cls));
+    d.enqueues = info.cls != OpClass::Nop;
+    d.pool = isa::isValidReg(inst.dst)
+        ? kPoolOfRegClass[static_cast<int>(isa::regClass(inst.dst))]
+        : kNoDstPool;
+    d.mix = static_cast<uint8_t>(isa::mixGroup(info.cls));
+    d.eq = static_cast<uint8_t>(inst.eqInsts());
+    d.latency = info.latency;
+    return d;
 }
 
 // ---------------------------------------------------------------------
@@ -221,14 +261,15 @@ SmtCore::trackProducers(Thread &t, size_t slot, uint64_t pos, uint64_t gen)
     int pending = 0;
     uint64_t ready = 0;
     for (int64_t p : _cold[slot].prod) {
-        if (p < 0)
-            continue;
+        // In flight iff head <= p < pos: the one unsigned compare also
+        // rejects "no producer" (-1) and graduated producers. Every
+        // position in [head, tail) is live (a flush pulls tail back to
+        // the branch), so an in-flight producer still owns its slot.
         uint64_t pp = static_cast<uint64_t>(p);
-        if (pp < t.head)
-            continue;       // producer already graduated
+        if (pp - t.head >= pos - t.head)
+            continue;
         size_t sp = slotOf(t, pp);
-        if (_colPos[sp] != pp)
-            continue;       // producer slot was recycled (graduated)
+        MOMSIM_ASSERT(_colPos[sp] == pp, "in-flight producer lost its slot");
         const SlotHot h = _hot[sp];
         if (metaState(h.meta) == State::Done) {
             ready = std::max(ready, h.when);
@@ -274,8 +315,11 @@ SmtCore::debugDump() const
                   static_cast<unsigned long long>(_now),
                   static_cast<long long>(_momFuBusyUntil) -
                       static_cast<long long>(_now),
-                  _intQ.size(), _memQ.size(), _fpQ.size(), _simdQ.size(),
-                  _activeStreams.size(),
+                  static_cast<size_t>(_iq[0].size),
+                  static_cast<size_t>(_iq[1].size),
+                  static_cast<size_t>(_iq[2].size),
+                  static_cast<size_t>(_iq[3].size),
+                  static_cast<size_t>(_activeStreams.size),
                   _freeRegs[0], _freeRegs[1], _freeRegs[2]);
     for (int tid = 0; tid < _cfg.numThreads; ++tid) {
         const Thread &t = _threads[static_cast<size_t>(tid)];
@@ -306,6 +350,25 @@ std::string
 SmtCore::debugLayoutIssue() const
 {
     uint64_t robSize = _robMask + 1;
+    if (static_cast<uint64_t>(_commitRotate) !=
+        _now % static_cast<uint64_t>(_cfg.numThreads))
+        return strfmt("commit rotation %d != now %% threads at %llu",
+                      _commitRotate, static_cast<unsigned long long>(_now));
+    auto decodedIssue = [](const DecodedOp &d, const isa::TraceInst &inst) {
+        DecodedOp w = decode(inst);
+        return d.cls != w.cls || d.qkind != w.qkind ||
+               d.enqueues != w.enqueues || d.pool != w.pool ||
+               d.mix != w.mix || d.eq != w.eq || d.latency != w.latency;
+    };
+    for (int tid = 0; tid < _cfg.numThreads; ++tid) {
+        const Thread &t = _threads[static_cast<size_t>(tid)];
+        for (size_t i = 0; i < t.fetchQ.size(); ++i) {
+            const FetchedInst &f = t.fetchQ.at(i);
+            if (f.inst == nullptr || decodedIssue(f.op, *f.inst))
+                return strfmt("t%d fetch entry %zu: decoded bytes differ "
+                              "from its trace record", tid, i);
+        }
+    }
     for (int tid = 0; tid < _cfg.numThreads; ++tid) {
         const Thread &t = _threads[static_cast<size_t>(tid)];
         if (t.slotBase != static_cast<uint64_t>(tid) * robSize)
@@ -326,6 +389,10 @@ SmtCore::debugLayoutIssue() const
             if (_cold[s].inst == nullptr)
                 return strfmt("t%d pos %llu: live slot has no inst", tid,
                               static_cast<unsigned long long>(pos));
+            if (decodedIssue(_cold[s].op, *_cold[s].inst))
+                return strfmt("t%d pos %llu: decoded bytes differ from "
+                              "its trace record", tid,
+                              static_cast<unsigned long long>(pos));
             uint64_t g = metaGen(_hot[s].meta);
             if (g == 0 || g > (t.genTick & kMetaGenMask))
                 return strfmt("t%d pos %llu: gen %llu outside (0, %llu]",
@@ -335,13 +402,26 @@ SmtCore::debugLayoutIssue() const
         }
     }
 
-    // Queue references must resolve to their slot; live per-thread
-    // occupancy must match the iq/oq fetch-policy counters.
+    // Queue references must resolve to their slot and stay within the
+    // fixed capacity; an issue queue holds only live Dispatched entries
+    // of its own kind (the issue scan's early exit relies on it), the
+    // stream list only Executing ones; live per-thread occupancy must
+    // match the iq/oq fetch-policy counters.
     int64_t iqLive[8] = {};
     int64_t oqLive[8] = {};
-    for (const std::vector<IqEntry> *q :
-         { &_intQ, &_memQ, &_fpQ, &_simdQ, &_activeStreams }) {
-        for (const IqEntry &ref : *q) {
+    for (int k = 0; k < 5; ++k) {
+        const IssueQueue &q = k < 4 ? _iq[k] : _activeStreams;
+        State want = k < 4 ? State::Dispatched : State::Executing;
+        uint32_t capWant = k < 4
+            ? static_cast<uint32_t>(std::max(
+                  k == 0 ? _cfg.intQueue : k == 1 ? _cfg.memQueue
+                  : k == 2 ? _cfg.fpQueue : _cfg.simdQueue, 0))
+            : static_cast<uint32_t>(_numSlots);
+        if (q.cap != capWant || q.size > q.cap)
+            return strfmt("queue %d holds %u of capacity %u (want %u)", k,
+                          q.size, q.cap, capWant);
+        for (uint32_t i = 0; i < q.size; ++i) {
+            const IqEntry &ref = q.at[i];
             if (ref.tid < 0 || ref.tid >= _cfg.numThreads)
                 return strfmt("queue ref tid %d out of range", ref.tid);
             const Thread &t = _threads[static_cast<size_t>(ref.tid)];
@@ -350,8 +430,17 @@ SmtCore::debugLayoutIssue() const
                               ref.tid,
                               static_cast<unsigned long long>(ref.pos),
                               ref.slot);
-            if (metaGen(_hot[ref.slot].meta) == ref.gen &&
-                metaState(_hot[ref.slot].meta) == State::Dispatched) {
+            uint64_t m = _hot[ref.slot].meta;
+            if (metaGen(m) != ref.gen || metaState(m) != want ||
+                _colPos[ref.slot] != ref.pos)
+                return strfmt("queue %d: t%d pos %llu is stale", k, ref.tid,
+                              static_cast<unsigned long long>(ref.pos));
+            if (k < 4 && _cold[ref.slot].op.qkind != k)
+                return strfmt("queue %d: t%d pos %llu belongs to queue %d",
+                              k, ref.tid,
+                              static_cast<unsigned long long>(ref.pos),
+                              _cold[ref.slot].op.qkind);
+            if (k < 4) {
                 iqLive[ref.tid] += 1;
                 oqLive[ref.tid] += _cold[ref.slot].inst->eqInsts();
             }
@@ -392,7 +481,7 @@ uint64_t
 SmtCore::nextEventCycle() const
 {
     // In-flight stream expansions issue elements every cycle.
-    if (!_activeStreams.empty())
+    if (_activeStreams.size != 0)
         return _now;
 
     uint64_t next = ~0ull;
@@ -429,15 +518,14 @@ SmtCore::nextEventCycle() const
     // Issue: a ready entry attempts to issue every cycle, even when the
     // attempt keeps failing on a busy FU or a rejected memory access —
     // so readiness, not executability, is what schedules the machine.
-    // One 16-byte hot-record load per entry answers validation
-    // (generation + state), the pending count and the ready cycle.
-    for (const std::vector<IqEntry> *q :
-         { &_intQ, &_memQ, &_fpQ, &_simdQ }) {
-        for (const IqEntry &ref : *q) {
-            const SlotHot h = _hot[ref.slot];
-            if (metaGen(h.meta) != ref.gen ||
-                metaState(h.meta) != State::Dispatched)
-                return _now;    // stale entry: the issue scan drops it
+    // One 16-byte hot-record load per entry answers the pending count
+    // and the ready cycle.
+    for (const IssueQueue &q : _iq) {
+        for (uint32_t i = 0; i < q.size; ++i) {
+            const SlotHot h = _hot[q.at[i].slot];
+            MOMSIM_ASSERT(metaGen(h.meta) == q.at[i].gen &&
+                              metaState(h.meta) == State::Dispatched,
+                          "stale issue-queue entry");
             if (metaPending(h.meta) > 0)
                 continue;       // wakes through a producer completion
             if (h.when <= _now)
@@ -457,27 +545,21 @@ SmtCore::fastForwardTo(uint64_t target)
     // The naive path runs every stage on a no-op cycle; the only
     // residue is the per-cycle rotation advance and one dispatch-stall
     // count per gated thread per cycle. Replay both exactly.
-    _fetchRotate = static_cast<int>(
-        (static_cast<uint64_t>(_fetchRotate) + skipped) % n);
-    _dispatchRotate = static_cast<int>(
-        (static_cast<uint64_t>(_dispatchRotate) + skipped) % n);
+    auto advance = [skipped, n](int &rotate) {
+        rotate = static_cast<int>(
+            (static_cast<uint64_t>(rotate) + skipped) % n);
+    };
+    advance(_commitRotate);
+    advance(_fetchRotate);
+    advance(_dispatchRotate);
     for (int tid = 0; tid < _cfg.numThreads; ++tid) {
         const Thread &t = _threads[static_cast<size_t>(tid)];
         if (t.fetchQ.empty())
             continue;
-        switch (dispatchGate(t, t.fetchQ.front())) {
-          case DispatchGate::RobFull:
-            _stats.at(_ctrRobFullStalls) += skipped;
-            break;
-          case DispatchGate::IqFull:
-            _stats.at(_ctrIqFullStalls) += skipped;
-            break;
-          case DispatchGate::RegFull:
-            _stats.at(_ctrRegFullStalls) += skipped;
-            break;
-          case DispatchGate::Ok:
-            break;      // unreachable: an Ok gate prevents fast-forward
-        }
+        // Never Ok here: an Ok gate prevents fast-forward.
+        DispatchGate gate = dispatchGate(t, t.fetchQ.front());
+        if (gate != DispatchGate::Ok)
+            _stats.at(_ctrGateStalls[static_cast<int>(gate)]) += skipped;
     }
     _stats.at(_ctrIdleCyclesSkipped) += skipped;
     _now = target;
@@ -517,6 +599,8 @@ SmtCore::step(uint64_t horizon)
     dispatchStage();
     fetchStage();
     ++_now;
+    _commitRotate =
+        _commitRotate + 1 == _cfg.numThreads ? 0 : _commitRotate + 1;
     uint64_t after =
         _stats.at(_ctrCommits) + _stats.at(_ctrIssued) +
         _stats.at(_ctrDispatched) + _stats.at(_ctrFetched);
@@ -532,64 +616,48 @@ SmtCore::commitStage()
 {
     int budget = _cfg.commitWidth;
     int n = _cfg.numThreads;
-    int start = static_cast<int>(_now % static_cast<uint64_t>(n));
+    const uint64_t now = _now;
 
     // Try to graduate one instruction from @p tid; false when the head
     // is absent, not ready, or its store was rejected — all conditions
     // that cannot clear within this cycle, so the thread drops out of
     // the round-robin for the rest of the stage. The ready check reads
-    // only the state/done columns; the cold payload is touched once a
-    // graduation is certain.
-    auto tryCommitOne = [this](int tid) -> bool {
+    // only the hot record; the cold payload is touched once a
+    // graduation is certain, and its decoded bytes do the accounting.
+    auto tryCommitOne = [this, now](int tid) -> bool {
         Thread &t = _threads[static_cast<size_t>(tid)];
         if (t.head == t.tail)
             return false;
         size_t s = slotOf(t, t.head);
         const SlotHot h = _hot[s];
-        if (metaState(h.meta) != State::Done || h.when > _now)
+        if (metaState(h.meta) != State::Done || h.when > now)
             return false;
 
         RobCold &cold = _cold[s];
-        OpClass cls = cold.inst->opClass();
-        bool scalarStore =
-            (cls == OpClass::Store || cls == OpClass::MmxStore);
-        if (scalarStore && !cold.storeDone) {
+        if (cold.storePending) {
             mem::MemAccess req;
             req.addr = cold.inst->addr;
             req.size = cold.inst->accessSize;
             req.isWrite = true;
-            req.isVector = (cls == OpClass::MmxStore);
+            req.isVector = cold.op.cls == static_cast<uint8_t>(
+                                              OpClass::MmxStore);
             req.threadId = tid;
-            mem::MemReply rep = _mem.access(_now, req);
+            mem::MemReply rep = _mem.access(now, req);
             if (!rep.accepted) {
                 _stats.at(_ctrCommitStoreStalls) += 1;
                 return false;   // write buffer full; retry next cycle
             }
-            cold.storeDone = true;
+            cold.storePending = false;
         }
 
         // Graduate.
-        if (isa::isValidReg(cold.inst->dst))
-            _freeRegs[physPoolOf(cold.inst->dst)] += 1;
-        uint32_t eq = cold.inst->eqInsts();
+        _freeRegs[cold.op.pool] += 1;
+        uint32_t eq = cold.op.eq;
         _committedRecords += 1;
         _committedEq += eq;
         t.committedEq += eq;
         _stats.at(_ctrCommits) += 1;
-        switch (isa::mixGroup(cls)) {
-          case isa::MixGroup::Int:
-            _stats.at(_ctrCommitInt) += eq;
-            break;
-          case isa::MixGroup::Fp:
-            _stats.at(_ctrCommitFp) += eq;
-            break;
-          case isa::MixGroup::SimdArith:
-            _stats.at(_ctrCommitSimd) += eq;
-            break;
-          case isa::MixGroup::Mem:
-            _stats.at(_ctrCommitMem) += eq;
-            break;
-        }
+        _stats.at(_ctrCommitMix[cold.op.mix]) += eq;
         setMetaState(s, State::Empty);
         ++t.head;
         return true;
@@ -600,7 +668,7 @@ SmtCore::commitStage()
     // can commit again, so later rounds visit exactly those.
     int active[8];
     int numActive = 0;
-    int tid = start;
+    int tid = _commitRotate;
     for (int i = 0; i < n && budget > 0;
          ++i, tid = (tid + 1 == n ? 0 : tid + 1)) {
         if (tryCommitOne(tid)) {
@@ -631,19 +699,17 @@ SmtCore::streamStage()
     // accesses per cycle in total, shared by all in-flight streams (two
     // address generators feeding the two vector ports).
     int budget = _cfg.vectorLanes;
-    for (size_t i = 0; i < _activeStreams.size();) {
+    const uint64_t now = _now;
+    for (uint32_t i = 0; i < _activeStreams.size;) {
         if (budget <= 0)
             break;
-        IqEntry ref = _activeStreams[i];
+        IqEntry ref = _activeStreams.at[i];
         Thread &t = _threads[static_cast<size_t>(ref.tid)];
         size_t s = ref.slot;
-        if (metaGen(_hot[s].meta) != ref.gen ||
-            metaState(_hot[s].meta) != State::Executing) {
-            // Squashed or otherwise gone.
-            _activeStreams.erase(_activeStreams.begin() +
-                                 static_cast<long>(i));
-            continue;
-        }
+        // A flush scrubs a squashed stream from the list at once.
+        MOMSIM_ASSERT(metaGen(_hot[s].meta) == ref.gen &&
+                          metaState(_hot[s].meta) == State::Executing,
+                      "stale stream-list entry");
         RobCold &cold = _cold[s];
         uint32_t total = cold.inst->memAccesses();
         int issuedThisCycle = 0;
@@ -651,11 +717,11 @@ SmtCore::streamStage()
             mem::MemAccess req;
             req.addr = cold.inst->elementAddr(cold.elemsIssued);
             req.size = cold.inst->accessSize;
-            req.isWrite = cold.inst->isStore();
+            req.isWrite = isa::isStore(static_cast<OpClass>(cold.op.cls));
             req.isVector = true;
             req.nonTemporal = false;
             req.threadId = ref.tid;
-            mem::MemReply rep = _mem.access(_now, req);
+            mem::MemReply rep = _mem.access(now, req);
             if (!rep.accepted)
                 break;
             cold.streamReady = std::max(cold.streamReady, rep.readyCycle);
@@ -665,10 +731,9 @@ SmtCore::streamStage()
         budget -= issuedThisCycle;
         if (cold.elemsIssued >= total) {
             setMetaState(s, State::Done);
-            _hot[s].when = std::max(cold.streamReady, _now + 1);
+            _hot[s].when = std::max(cold.streamReady, now + 1);
             wakeDependents(t, s);
-            _activeStreams.erase(_activeStreams.begin() +
-                                 static_cast<long>(i));
+            _activeStreams.erase(i);
             continue;
         }
         ++i;
@@ -683,18 +748,19 @@ bool
 SmtCore::tryExecute(int tid, size_t slot, QueueKind kind)
 {
     RobCold &cold = _cold[slot];
-    const isa::OpInfo &info = isa::opInfo(cold.inst->opcode());
-    OpClass cls = info.cls;
+    const OpClass cls = static_cast<OpClass>(cold.op.cls);
+    const uint64_t now = _now;
+    const uint64_t latency = cold.op.latency;
 
     switch (kind) {
       case QueueKind::Int:
         if (cls == OpClass::IntDiv) {
-            if (_divBusyUntil > _now)
+            if (_divBusyUntil > now)
                 return false;
-            _divBusyUntil = _now + info.latency;
+            _divBusyUntil = now + latency;
         }
         setMetaState(slot, State::Done);
-        _hot[slot].when = _now + info.latency;
+        _hot[slot].when = now + latency;
         if (cold.mispredicted) {
             _stats.at(_ctrMispredicts) += 1;
             flushThread(tid, _colPos[slot]);
@@ -703,28 +769,28 @@ SmtCore::tryExecute(int tid, size_t slot, QueueKind kind)
 
       case QueueKind::Fp:
         if (cls == OpClass::FpDiv) {
-            if (_fdivBusyUntil > _now)
+            if (_fdivBusyUntil > now)
                 return false;
-            _fdivBusyUntil = _now + info.latency;
+            _fdivBusyUntil = now + latency;
         }
         setMetaState(slot, State::Done);
-        _hot[slot].when = _now + info.latency;
+        _hot[slot].when = now + latency;
         return true;
 
       case QueueKind::Simd:
         if (isa::isMom(cls)) {
-            if (_momFuBusyUntil > _now)
+            if (_momFuBusyUntil > now)
                 return false;
             uint32_t len = std::max<uint32_t>(1, cold.inst->streamLen);
             uint64_t occupancy =
                 (len + _cfg.vectorLanes - 1) /
                 static_cast<uint32_t>(_cfg.vectorLanes);
-            _momFuBusyUntil = _now + occupancy;
+            _momFuBusyUntil = now + occupancy;
             setMetaState(slot, State::Done);
-            _hot[slot].when = _now + info.latency + occupancy - 1;
+            _hot[slot].when = now + latency + occupancy - 1;
         } else {
             setMetaState(slot, State::Done);
-            _hot[slot].when = _now + info.latency;
+            _hot[slot].when = now + latency;
         }
         return true;
 
@@ -734,24 +800,23 @@ SmtCore::tryExecute(int tid, size_t slot, QueueKind kind)
             setMetaState(slot, State::Executing);
             cold.elemsIssued = 0;
             cold.streamReady = 0;
-            _activeStreams.push_back({ _colPos[slot],
-                                       metaGen(_hot[slot].meta),
-                                       static_cast<uint32_t>(slot), tid });
+            _activeStreams.push({ _colPos[slot], metaGen(_hot[slot].meta),
+                                  static_cast<uint32_t>(slot), tid });
             return true;
         }
-        if (cold.inst->isStore()) {
+        if (isa::isStore(cls)) {
             // Address generation; the access happens at graduation.
             setMetaState(slot, State::Done);
-            _hot[slot].when = _now + 1;
+            _hot[slot].when = now + 1;
             return true;
         }
         mem::MemAccess req;
         req.addr = cold.inst->addr;
         req.size = cold.inst->accessSize;
         req.isWrite = false;
-        req.isVector = cold.inst->isMmx();
+        req.isVector = isa::isMmx(cls);
         req.threadId = tid;
-        mem::MemReply rep = _mem.access(_now, req);
+        mem::MemReply rep = _mem.access(now, req);
         if (!rep.accepted)
             return false;       // retry next cycle
         setMetaState(slot, State::Done);
@@ -763,78 +828,86 @@ SmtCore::tryExecute(int tid, size_t slot, QueueKind kind)
 }
 
 void
-SmtCore::issueFromQueue(std::vector<IqEntry> &queue, int width,
-                        QueueKind kind)
+SmtCore::issueFromQueue(IssueQueue &q, int width, QueueKind kind)
 {
     // Nothing can possibly be ready before the queue's bound: skip the
     // scan outright. A skipped scan has no side effects (no entry
     // issues, no compaction, no counters), so results are unchanged.
     uint64_t &bound = _queueMinReady[static_cast<int>(kind)];
-    if (bound > _now)
+    const uint64_t now = _now;
+    if (bound > now)
         return;
 
-    // The scan body reads one 16-byte hot record per entry: generation
-    // and state validate the reference, the pending count and the
-    // timestamp decide readiness — the common keep-in-place iterations
-    // touch one dense array and no per-entry payload.
+    // The scan body reads one 16-byte hot record per entry: the pending
+    // count and the timestamp decide readiness. The queue holds only
+    // live Dispatched entries (issue removes them, a flush scrubs
+    // them), so no entry needs validating. q.size is re-read every
+    // iteration: a mispredicted branch issuing here flushes its thread,
+    // which scrubs that thread's younger entries — all of them later in
+    // this queue than the branch, since each thread enqueues in
+    // program order.
     uint64_t nextReady = ~0ull;
     int used = 0;
-    size_t keep = 0;
-    size_t i = 0;
-    for (; i < queue.size(); ++i) {
-        IqEntry ref = queue[i];
-        size_t s = ref.slot;
-        // Compaction writes only once the kept range diverges from the
-        // scanned range (i.e. after the first issue/drop) — on most
-        // cycles most entries just stay put.
-        auto keepEntry = [&queue, &keep](size_t at, IqEntry entry) {
-            if (keep != at)
-                queue[keep] = entry;
-            ++keep;
-        };
-        const SlotHot h = _hot[s];
-        if (metaGen(h.meta) != ref.gen ||
-            metaState(h.meta) != State::Dispatched)
-            continue;           // squashed/stale: drop from the queue
+    uint32_t keep = 0;
+    for (uint32_t i = 0; i < q.size; ++i) {
         if (used >= width) {
-            keepEntry(i, ref);      // ready now, out of issue slots
+            // Out of issue slots: the unscanned rest stays queued, in
+            // order, and may hold entries ready now — so the bound
+            // becomes the next cycle.
+            if (keep != i)
+                std::memmove(q.at + keep, q.at + i,
+                             (q.size - i) * sizeof(IqEntry));
+            keep += q.size - i;
+            nextReady = now + 1;
+            break;
+        }
+        IqEntry ref = q.at[i];
+        size_t s = ref.slot;
+        const SlotHot h = _hot[s];
+        MOMSIM_ASSERT(metaGen(h.meta) == ref.gen &&
+                          metaState(h.meta) == State::Dispatched,
+                      "stale issue-queue entry");
+        if (metaPending(h.meta) == 0 && h.when <= now) {
+            ++used;             // an issue slot is consumed by the attempt
+            if (tryExecute(ref.tid, s, kind)) {
+                Thread &t = _threads[static_cast<size_t>(ref.tid)];
+                if (metaState(_hot[s].meta) == State::Done)
+                    wakeDependents(t, s);
+                t.iqCount -= 1;
+                t.oqCount -= _cold[s].op.eq;
+                _stats.at(_ctrIssued) += 1;
+                continue;
+            }
+            // FU busy / access rejected: retry next cycle.
+        }
+        // Stays queued. A pending entry's wakeup will relax the bound;
+        // otherwise its ready cycle bounds the next scan.
+        if (metaPending(h.meta) == 0)
             nextReady = std::min(nextReady, h.when);
-            continue;
-        }
-        if (metaPending(h.meta) > 0) {
-            keepEntry(i, ref);      // its wakeup will relax the bound
-            continue;
-        }
-        if (h.when > _now) {
-            keepEntry(i, ref);      // operands not ready yet
-            nextReady = std::min(nextReady, h.when);
-            continue;
-        }
-        ++used;                 // an issue slot is consumed by the attempt
-        if (tryExecute(ref.tid, s, kind)) {
-            Thread &t = _threads[static_cast<size_t>(ref.tid)];
-            if (metaState(_hot[s].meta) == State::Done)
-                wakeDependents(t, s);
-            t.iqCount -= 1;
-            t.oqCount -= _cold[s].inst->eqInsts();
-            _stats.at(_ctrIssued) += 1;
-        } else {
-            keepEntry(i, ref);      // FU busy / access rejected: retry
-            nextReady = std::min(nextReady, h.when);
-        }
+        // Compaction writes only once the kept range diverges from the
+        // scanned range (i.e. after the first issue) — on most cycles
+        // most entries just stay put.
+        if (keep != i)
+            q.at[keep] = ref;
+        ++keep;
     }
-    queue.resize(keep);
-    // Exact as of this scan; later dispatches/wakeups only lower it.
+    q.size = keep;
+    // Exact as of this scan (or the next cycle after an early exit);
+    // later dispatches/wakeups only lower it.
     bound = nextReady;
 }
 
 void
 SmtCore::issueStage()
 {
-    issueFromQueue(_memQ, _cfg.memIssue, QueueKind::Mem);
-    issueFromQueue(_intQ, _cfg.intIssue, QueueKind::Int);
-    issueFromQueue(_fpQ, _cfg.fpIssue, QueueKind::Fp);
-    issueFromQueue(_simdQ, _cfg.simdIssue, QueueKind::Simd);
+    issueFromQueue(_iq[static_cast<int>(QueueKind::Mem)], _cfg.memIssue,
+                   QueueKind::Mem);
+    issueFromQueue(_iq[static_cast<int>(QueueKind::Int)], _cfg.intIssue,
+                   QueueKind::Int);
+    issueFromQueue(_iq[static_cast<int>(QueueKind::Fp)], _cfg.fpIssue,
+                   QueueKind::Fp);
+    issueFromQueue(_iq[static_cast<int>(QueueKind::Simd)], _cfg.simdIssue,
+                   QueueKind::Simd);
 }
 
 // ---------------------------------------------------------------------
@@ -842,41 +915,22 @@ SmtCore::issueStage()
 // ---------------------------------------------------------------------
 
 SmtCore::DispatchGate
-SmtCore::dispatchGate(const Thread &t, const FetchedInst &f,
-                      QueueKind *kindOut) const
+SmtCore::dispatchGate(const Thread &t, const FetchedInst &f) const
 {
-    if (t.tail - t.head >= static_cast<uint64_t>(_cfg.windowPerThread))
-        return DispatchGate::RobFull;
-    QueueKind kind = isa::queueKind(f.inst->opClass());
-    if (kindOut)
-        *kindOut = kind;
-    const std::vector<IqEntry> *queue = nullptr;
-    int cap = 0;
-    switch (kind) {
-      case QueueKind::Int:
-        queue = &_intQ;
-        cap = _cfg.intQueue;
-        break;
-      case QueueKind::Mem:
-        queue = &_memQ;
-        cap = _cfg.memQueue;
-        break;
-      case QueueKind::Fp:
-        queue = &_fpQ;
-        cap = _cfg.fpQueue;
-        break;
-      case QueueKind::Simd:
-        queue = &_simdQ;
-        cap = _cfg.simdQueue;
-        break;
-    }
-    bool isNop = f.inst->opClass() == OpClass::Nop;
-    if (!isNop && static_cast<int>(queue->size()) >= cap)
-        return DispatchGate::IqFull;
-    if (isa::isValidReg(f.inst->dst) &&
-        _freeRegs[physPoolOf(f.inst->dst)] <= 0)
-        return DispatchGate::RegFull;
-    return DispatchGate::Ok;
+    // All three tests read counters indexed by decoded bytes, so they
+    // are evaluated unconditionally and combined by priority (ROB, then
+    // issue queue, then registers) instead of branching on each. A nop
+    // enqueues nothing, so no issue queue can refuse it; an instruction
+    // without a destination draws on the pseudo-pool that never runs
+    // out.
+    bool robFull =
+        t.tail - t.head >= static_cast<uint64_t>(_cfg.windowPerThread);
+    const IssueQueue &q = _iq[f.op.qkind];
+    bool iqFull = q.size + f.op.enqueues > q.cap;
+    bool regFull = _freeRegs[f.op.pool] <= 0;
+    DispatchGate gate = regFull ? DispatchGate::RegFull : DispatchGate::Ok;
+    gate = iqFull ? DispatchGate::IqFull : gate;
+    return robFull ? DispatchGate::RobFull : gate;
 }
 
 void
@@ -884,41 +938,25 @@ SmtCore::dispatchStage()
 {
     int budget = _cfg.decodeWidth;
     int n = _cfg.numThreads;
-    int start = _dispatchRotate % n;
+    const uint64_t now = _now;
 
     // Decode/rename one instruction from @p tid; false when its fetch
     // queue is empty or a structural gate blocks it (the gates only
     // tighten within a cycle, so a refused thread drops out of the
     // round-robin for the rest of the stage).
-    auto tryDispatchOne = [this](int tid) -> bool {
+    auto tryDispatchOne = [this, now](int tid) -> bool {
         Thread &t = _threads[static_cast<size_t>(tid)];
         if (t.fetchQ.empty())
             return false;
 
         // Structural checks.
         const FetchedInst &f = t.fetchQ.front();
-        QueueKind kind = QueueKind::Int;
-        switch (dispatchGate(t, f, &kind)) {
-          case DispatchGate::RobFull:
-            _stats.at(_ctrRobFullStalls) += 1;
+        DispatchGate gate = dispatchGate(t, f);
+        if (gate != DispatchGate::Ok) {
+            _stats.at(_ctrGateStalls[static_cast<int>(gate)]) += 1;
             return false;
-          case DispatchGate::IqFull:
-            _stats.at(_ctrIqFullStalls) += 1;
-            return false;
-          case DispatchGate::RegFull:
-            _stats.at(_ctrRegFullStalls) += 1;
-            return false;
-          case DispatchGate::Ok:
-            break;
         }
-        std::vector<IqEntry> *queue = nullptr;
-        switch (kind) {
-          case QueueKind::Int:  queue = &_intQ;  break;
-          case QueueKind::Mem:  queue = &_memQ;  break;
-          case QueueKind::Fp:   queue = &_fpQ;   break;
-          case QueueKind::Simd: queue = &_simdQ; break;
-        }
-        bool isNop = f.inst->opClass() == OpClass::Nop;
+        const isa::TraceInst &inst = *f.inst;
 
         // Allocate and rename: reset the recycled slot's columns and
         // cold payload (the waiter vector is cleared, not replaced, so
@@ -929,35 +967,39 @@ SmtCore::dispatchStage()
         size_t s = slotOf(t, pos);
         RobCold &cold = _cold[s];
         cold.inst = f.inst;
+        cold.op = f.op;
         _colPos[s] = pos;
-        cold.prevWriter = -1;
         cold.mispredicted = f.mispredicted;
-        cold.storeDone = false;
+        cold.storePending =
+            f.op.cls == static_cast<uint8_t>(OpClass::Store) ||
+            f.op.cls == static_cast<uint8_t>(OpClass::MmxStore);
         cold.elemsIssued = 0;
         cold.streamReady = 0;
         uint64_t gen = ++t.genTick & kMetaGenMask;
         _waiters[s].clear();
 
-        isa::RegRef srcs[3] = { f.inst->src0, f.inst->src1, f.inst->src2 };
-        for (int sidx = 0; sidx < 3; ++sidx) {
-            cold.prod[sidx] = isa::isValidReg(srcs[sidx])
-                ? t.rename[srcs[sidx]] : -1;
-        }
+        // Rename-table entry kNoReg always holds -1, so an absent
+        // source reads "no producer" and an absent destination writes
+        // -1 back: no validity branches.
+        cold.prod[0] = t.rename[inst.src0];
+        cold.prod[1] = t.rename[inst.src1];
+        cold.prod[2] = t.rename[inst.src2];
         int pending = trackProducers(t, s, pos, gen);
-        if (isa::isValidReg(f.inst->dst)) {
-            cold.prevWriter = t.rename[f.inst->dst];
-            t.rename[f.inst->dst] = static_cast<int64_t>(pos);
-            _freeRegs[physPoolOf(f.inst->dst)] -= 1;
-        }
+        cold.prevWriter = t.rename[inst.dst];
+        t.rename[inst.dst] =
+            inst.dst == isa::kNoReg ? -1 : static_cast<int64_t>(pos);
+        _freeRegs[f.op.pool] -= 1;
 
-        if (isNop) {
+        QueueKind kind = static_cast<QueueKind>(f.op.qkind);
+        if (!f.op.enqueues) {
             _hot[s].meta = metaPack(gen, pending, kind, State::Done);
-            _hot[s].when = _now;
+            _hot[s].when = now;
         } else {
             _hot[s].meta = metaPack(gen, pending, kind, State::Dispatched);
-            queue->push_back({ pos, gen, static_cast<uint32_t>(s), tid });
+            _iq[f.op.qkind].push({ pos, gen, static_cast<uint32_t>(s),
+                                   tid });
             t.iqCount += 1;
-            t.oqCount += cold.inst->eqInsts();
+            t.oqCount += f.op.eq;
             if (pending == 0)
                 relaxQueueBound(s);
         }
@@ -973,7 +1015,7 @@ SmtCore::dispatchStage()
     // exactly like the naive every-pass walk did).
     int active[8];
     int numActive = 0;
-    int tid = start;
+    int tid = _dispatchRotate;
     for (int i = 0; i < n && budget > 0;
          ++i, tid = (tid + 1 == n ? 0 : tid + 1)) {
         if (tryDispatchOne(tid)) {
@@ -1001,28 +1043,27 @@ SmtCore::dispatchStage()
 bool
 SmtCore::vectorPipeEmpty() const
 {
-    return _simdQ.empty() && _momFuBusyUntil <= _now;
+    return _iq[static_cast<int>(QueueKind::Simd)].size == 0 &&
+           _momFuBusyUntil <= _now;
 }
 
-const std::vector<int> &
-SmtCore::fetchOrder()
+int
+SmtCore::fetchOrder(int order[8])
 {
-    std::vector<int> &order = _fetchOrderBuf;
-    order.clear();
     int n = _cfg.numThreads;
-    int tid = _fetchRotate % n;
+    int tid = _fetchRotate;
     for (int i = 0; i < n; ++i, tid = (tid + 1 == n ? 0 : tid + 1))
-        order.push_back(tid);
+        order[i] = tid;
 
     // Stable insertion sort over a precomputed key array: at most 8
-    // threads, runs every cycle, never touches an allocator, and loads
-    // each thread's counter once instead of per comparison.
+    // threads, runs every cycle, and loads each thread's counter once
+    // instead of per comparison.
     int64_t keys[8];
-    auto sortByKeys = [&order, &keys]() {
-        for (size_t i = 1; i < order.size(); ++i) {
+    auto sortByKeys = [order, n, &keys]() {
+        for (int i = 1; i < n; ++i) {
             int v = order[i];
             int64_t k = keys[v];
-            size_t j = i;
+            int j = i;
             while (j > 0 && k < keys[order[j - 1]]) {
                 order[j] = order[j - 1];
                 --j;
@@ -1050,12 +1091,13 @@ SmtCore::fetchOrder()
         // would let two permanently-scalar threads monopolize both
         // fetch groups and starve the machine).
         bool wantVector = vectorPipeEmpty();
-        for (size_t i = 0; i < order.size(); ++i) {
-            if (_threads[static_cast<size_t>(order[i])].lastFetchVector ==
+        for (int i = 0; i < n; ++i) {
+            int chosen = order[i];
+            if (_threads[static_cast<size_t>(chosen)].lastFetchVector ==
                 wantVector) {
-                int chosen = order[i];
-                order.erase(order.begin() + static_cast<long>(i));
-                order.insert(order.begin(), chosen);
+                for (int j = i; j > 0; --j)
+                    order[j] = order[j - 1];
+                order[0] = chosen;
                 break;
             }
         }
@@ -1063,31 +1105,36 @@ SmtCore::fetchOrder()
       }
     }
     _fetchRotate = (_fetchRotate + 1 == n ? 0 : _fetchRotate + 1);
-    return order;
+    return n;
 }
 
 void
 SmtCore::fetchStage()
 {
-    const std::vector<int> &order = fetchOrder();
-    size_t orderIdx = 0;
+    int order[8];
+    const int n = fetchOrder(order);
+    int orderIdx = 0;
+    const uint64_t now = _now;
 
     for (int g = 0; g < _cfg.fetchGroups; ++g) {
         // Find the next eligible thread (the same thread may supply both
-        // groups when it is the only one ready).
+        // groups when it is the only one ready), wrapping around the
+        // priority order from where the previous group's search ended.
         int tid = -1;
-        for (size_t scanned = 0; scanned < order.size(); ++scanned) {
-            int cand = order[(orderIdx + scanned) % order.size()];
+        int idx = orderIdx;
+        for (int scanned = 0; scanned < n; ++scanned) {
+            int cand = order[idx];
+            idx = idx + 1 == n ? 0 : idx + 1;
             Thread &t = _threads[static_cast<size_t>(cand)];
             if (!t.prog || t.cursor >= t.prog->size())
                 continue;
-            if (t.fetchReady > _now)
+            if (t.fetchReady > now)
                 continue;
             if (static_cast<int>(t.fetchQ.size()) + _cfg.fetchGroupSize >
                 _cfg.fetchQueueDepth)
                 continue;
             tid = cand;
-            orderIdx = (orderIdx + scanned + 1) % order.size();
+            orderIdx = idx;
             break;
         }
         if (tid < 0)
@@ -1096,7 +1143,7 @@ SmtCore::fetchStage()
         Thread &t = _threads[static_cast<size_t>(tid)];
         const auto &insts = t.prog->insts();
         uint64_t groupPc = insts[t.cursor].pc;
-        mem::FetchReply rep = _mem.ifetch(_now, groupPc);
+        mem::FetchReply rep = _mem.ifetch(now, groupPc);
         if (!rep.accepted) {
             _stats.at(_ctrIfetchRejected) += 1;
             continue;       // I-cache port/bank conflict this cycle
@@ -1112,7 +1159,9 @@ SmtCore::fetchStage()
                         t.cursor < t.prog->size(); ++k) {
             FetchedInst f;
             f.inst = &insts[t.cursor];
+            f.op = decode(*f.inst);
             ++t.cursor;
+            OpClass cls = static_cast<OpClass>(f.op.cls);
 
             if (f.inst->isCondBranch()) {
                 bool pred = _bpred.predict(tid, f.inst->pc);
@@ -1121,14 +1170,13 @@ SmtCore::fetchStage()
                 _bpred.update(tid, f.inst->pc, actual);
                 _stats.at(_ctrCondBranches) += 1;
             }
-            if (isa::isSimd(f.inst->opClass()))
-                fetchedVector = true;
+            fetchedVector |= isa::isSimd(cls);
 
             t.fetchQ.push_back(f);
             _stats.at(_ctrFetched) += 1;
 
             // A group ends at taken control flow.
-            if (f.inst->isControl() && f.inst->taken())
+            if (isa::isControl(cls) && f.inst->taken())
                 break;
         }
         t.lastFetchVector = fetchedVector;
@@ -1140,6 +1188,21 @@ SmtCore::fetchStage()
 // ---------------------------------------------------------------------
 
 void
+SmtCore::scrubQueue(IssueQueue &q, int tid, uint64_t branchPos)
+{
+    uint32_t keep = 0;
+    for (uint32_t i = 0; i < q.size; ++i) {
+        IqEntry ref = q.at[i];
+        if (ref.tid == tid && ref.pos > branchPos)
+            continue;
+        if (keep != i)
+            q.at[keep] = ref;
+        ++keep;
+    }
+    q.size = keep;
+}
+
+void
 SmtCore::flushThread(int tid, uint64_t branchPos)
 {
     Thread &t = _threads[static_cast<size_t>(tid)];
@@ -1148,37 +1211,28 @@ SmtCore::flushThread(int tid, uint64_t branchPos)
     // Squashed slots keep their generation tag until reallocated, so
     // wakeup records pointing at them stay inert (the pos column is
     // set to the squash sentinel here; a recycled slot gets a fresh
-    // gen).
+    // gen). As at dispatch, an absent destination rolls back rename
+    // entry kNoReg to its constant -1 and returns its pseudo-register.
     while (t.tail > branchPos + 1) {
         uint64_t pos = --t.tail;
         size_t s = slotOf(t, pos);
         if (_colPos[s] != pos)
             continue;
         const RobCold &cold = _cold[s];
-        if (isa::isValidReg(cold.inst->dst)) {
-            t.rename[cold.inst->dst] = cold.prevWriter;
-            _freeRegs[physPoolOf(cold.inst->dst)] += 1;
-        }
+        t.rename[cold.inst->dst] = cold.prevWriter;
+        _freeRegs[cold.op.pool] += 1;
         if (metaState(_hot[s].meta) == State::Dispatched) {
             t.iqCount -= 1;
-            t.oqCount -= cold.inst->eqInsts();
+            t.oqCount -= cold.op.eq;
         }
         setMetaState(s, State::Empty);
         _colPos[s] = ~0ull;
         _stats.at(_ctrSquashed) += 1;
     }
 
-    auto scrub = [tid, branchPos](std::vector<IqEntry> &q) {
-        q.erase(std::remove_if(q.begin(), q.end(),
-                               [tid, branchPos](const IqEntry &ref) {
-                    return ref.tid == tid && ref.pos > branchPos;
-                }), q.end());
-    };
-    scrub(_intQ);
-    scrub(_memQ);
-    scrub(_fpQ);
-    scrub(_simdQ);
-    scrub(_activeStreams);
+    for (IssueQueue &q : _iq)
+        scrubQueue(q, tid, branchPos);
+    scrubQueue(_activeStreams, tid, branchPos);
 
     // Redirect the front end. Dispatch follows fetch order exactly, so a
     // thread's ROB position equals its trace index; the correct-path

@@ -17,7 +17,21 @@
  *
  * Simulation-throughput machinery (results are identical to the naive
  * per-cycle walk; the kernel_equivalence CTest gate holds it to the
- * pre-refactor rows byte for byte):
+ * pre-refactor rows byte for byte). The kernel is bound by branches on
+ * simulated data, not by bytes moved, so the per-cycle stages avoid
+ * data-dependent branch chains, divisions and container bookkeeping:
+ *
+ *  - Decode once, at fetch: each fetched instruction carries its
+ *    OpClass, issue queue, destination register pool, equivalent-
+ *    instruction weight, Table-3 mix group and latency in the spare
+ *    bytes of its 16-byte fetch record (DecodedOp), and dispatch copies
+ *    them into the ROB payload. The dispatch gate, commit accounting,
+ *    issue and flush index small tables with these bytes instead of
+ *    re-deriving them from the trace record through OpClass predicate
+ *    chains. The dispatch gate evaluates its three structural tests
+ *    without early exits; a missing destination register maps to an
+ *    unbounded pseudo-pool and to rename-table entry kNoReg, which
+ *    always reads "no producer", so rename has no validity branches.
  *
  *  - Structure-of-arrays ROB storage: the scheduling state every
  *    per-cycle scan touches lives in flat arrays — a position column
@@ -26,26 +40,33 @@
  *    a single state-dependent timestamp (ready cycle while waiting,
  *    done cycle once complete) — one slot per (thread, window entry),
  *    all carved from a single core-owned arena together with the
- *    per-thread rename tables and fetch-queue rings. Queue entries
- *    validate by generation tag, so a scan's entire readiness test is
- *    one 16-byte load per entry; a dispatch initializes the whole
- *    record with two stores. The wide per-instruction payload (trace
- *    pointer, producer positions, rename rollback, stream progress)
- *    sits in a cold side array touched once per dispatch/issue/commit.
+ *    per-thread rename tables and fetch-queue rings. A scan's entire
+ *    readiness test is one 16-byte load per entry. The wide
+ *    per-instruction payload (trace pointer, decoded bytes, producer
+ *    positions, rename rollback, stream progress) sits in a cold side
+ *    array touched once per dispatch/issue/commit.
  *
- *  - Readiness tracking: instead of rescanning every issue-queue entry's
- *    producers each cycle, each ROB slot carries a pending-producer
- *    count and a ready cycle. Producers keep a wakeup list of waiting
+ *  - Fixed-capacity issue queues: each queue is an array sized at
+ *    construction to its configured capacity (the stream list to the
+ *    slot count), with a count; nothing on the per-cycle path allocates.
+ *    Queues only ever hold live Dispatched entries (issue removes an
+ *    entry, a flush scrubs the squashed ones), so the issue scan stops
+ *    at the issue width and moves the unscanned tail down in one copy.
+ *
+ *  - Readiness tracking: each ROB slot carries a pending-producer count
+ *    and a ready cycle. Producers keep a wakeup list of waiting
  *    consumers; completing an instruction decrements its consumers'
  *    counts and relaxes their ready cycles, so the issue scan is O(1)
- *    per entry. Wakeup records are validated by a per-slot generation
- *    tag, which makes records from squashed (flushed) consumers inert
- *    even after their ROB slot is recycled.
+ *    per entry, and a per-queue earliest-ready bound skips whole scans.
+ *    Wakeup records are validated by a per-slot generation tag, which
+ *    makes records from squashed consumers inert even after their ROB
+ *    slot is recycled.
  *
- *  - Power-of-two ROB storage: the circular reorder buffer is sized to
- *    the next power of two above the configured window so position
- *    lookup is a mask, not a modulo. Logical capacity is still exactly
- *    windowPerThread.
+ *  - No per-cycle divisions: the circular reorder buffer is sized to
+ *    the next power of two above the configured window (position lookup
+ *    is a mask; logical capacity is still exactly windowPerThread), and
+ *    the commit, dispatch and fetch round-robin starts are rotating
+ *    counters rather than `cycle % threads`.
  *
  *  - Idle fast-forward: when no stage can make progress this cycle,
  *    step() jumps straight to the next cycle at which anything can
@@ -61,11 +82,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/bits.hh"
+#include "common/logging.hh"
 #include "common/stats.hh"
 #include "cpu/branch_predictor.hh"
 #include "cpu/core_config.hh"
@@ -125,7 +148,10 @@ class SmtCore
      * holds the position (live) or the squash sentinel; live slots are
      * never State::Empty; queue/stream references resolve to their
      * slot; per-thread queue occupancy counters match the queues;
-     * waiter generation tags never run ahead of the owning thread.
+     * waiter generation tags never run ahead of the owning thread;
+     * queues hold only live Dispatched entries and stay within their
+     * fixed capacity; every decoded fetch-queue and ROB record matches
+     * its trace record; the commit rotation equals now() % threads.
      */
     std::string debugLayoutIssue() const;
 
@@ -145,6 +171,30 @@ class SmtCore
         uint64_t gen;       ///< consumer generation at registration
     };
 
+    /// Physical register pools: [0]=int, [1]=fp, [2]=simd, and the
+    /// pseudo-pool of instructions without a destination register,
+    /// which never runs out (see _freeRegs).
+    static constexpr uint8_t kNoDstPool = 3;
+
+    /**
+     * The pipeline-relevant properties of an instruction, derived from
+     * its trace record once at fetch (decode()) and carried in spare
+     * bytes of the fetch and ROB records, so the per-cycle stages
+     * index tables with them instead of re-deriving them.
+     */
+    struct DecodedOp
+    {
+        uint8_t cls = 0;        ///< isa::OpClass
+        uint8_t qkind = 0;      ///< isa::QueueKind of the issue queue
+        uint8_t enqueues = 0;   ///< 1 unless a nop (nops skip the queues)
+        uint8_t pool = kNoDstPool;  ///< physical pool of dst
+        uint8_t mix = 0;        ///< isa::MixGroup (Table-3 bucket)
+        uint8_t eq = 1;         ///< eqInsts(); streamLen is 8 bits wide
+        uint8_t latency = 0;    ///< isa::OpInfo::latency
+    };
+
+    static DecodedOp decode(const isa::TraceInst &inst);
+
     /**
      * Per-slot payload the per-cycle scans never touch: read/written
      * once per dispatch, issue or commit of that instruction. The hot
@@ -157,20 +207,22 @@ class SmtCore
         int64_t prevWriter = -1;    ///< for rename rollback on flush
         uint64_t streamReady = 0;   ///< max element completion
         uint16_t elemsIssued = 0;   ///< stream memory progress
+        DecodedOp op;
         bool mispredicted = false;
-        bool storeDone = false;     ///< scalar store performed at commit
+        bool storePending = false;  ///< scalar store not yet performed
     };
 
     /**
      * Both the fetch queue and the ROB reference trace instructions by
      * pointer into the (immutable) Program rather than by value: a
      * thread's ROB position equals its trace index, so the pointed-at
-     * record outlives the entry, and the pipeline structures shrink to
-     * a fraction of the memory traffic per dispatched instruction.
+     * record outlives the entry. The decoded bytes fill the record's
+     * padding, so it stays 16 bytes.
      */
     struct FetchedInst
     {
         const isa::TraceInst *inst = nullptr;
+        DecodedOp op;
         bool mispredicted = false;
     };
 
@@ -195,6 +247,12 @@ class SmtCore
         bool empty() const { return _head == _tail; }
         size_t size() const { return _tail - _head; }
         const FetchedInst &front() const { return _buf[_head & _mask]; }
+        /** The @p i-th oldest entry (debug checks). */
+        const FetchedInst &
+        at(size_t i) const
+        {
+            return _buf[(_head + i) & _mask];
+        }
         void push_back(const FetchedInst &f) { _buf[_tail++ & _mask] = f; }
         void pop_front() { ++_head; }
         void clear() { _head = _tail = 0; }
@@ -246,6 +304,33 @@ class SmtCore
         int32_t tid;
     };
 
+    /**
+     * A fixed-capacity queue of IqEntry references in age order, its
+     * storage carved from _queueStore at construction. An issue queue's
+     * capacity is its configured size (the dispatch gate refuses an
+     * enqueue into a full queue); the stream list's is the slot count.
+     */
+    struct IssueQueue
+    {
+        IqEntry *at = nullptr;
+        uint32_t size = 0;
+        uint32_t cap = 0;
+
+        void
+        push(const IqEntry &e)
+        {
+            MOMSIM_ASSERT(size < cap, "issue queue overflow");
+            at[size++] = e;
+        }
+        /** Remove entry @p i, keeping the age order of the rest. */
+        void
+        erase(uint32_t i)
+        {
+            std::memmove(at + i, at + i + 1, (size - i - 1) * sizeof(IqEntry));
+            --size;
+        }
+    };
+
     /** Why (or whether) the head of a thread's fetch queue can't rename. */
     enum class DispatchGate : uint8_t
     {
@@ -262,6 +347,8 @@ class SmtCore
     void fetchStage();
 
     void flushThread(int tid, uint64_t branchPos);
+    /** Drop thread @p tid's entries younger than @p branchPos from @p q. */
+    static void scrubQueue(IssueQueue &q, int tid, uint64_t branchPos);
     /** Column slot of @p pos within thread @p t (pos may be in flight). */
     size_t
     slotOf(const Thread &t, uint64_t pos) const
@@ -328,11 +415,10 @@ class SmtCore
         _hot[s].meta = (_hot[s].meta & ~kMetaStateMask) |
                        static_cast<uint64_t>(st);
     }
-    int physPoolOf(isa::RegRef reg) const;
-    const std::vector<int> &fetchOrder();
+    /** Fill @p order with this cycle's fetch priority; returns its size. */
+    int fetchOrder(int order[8]);
     bool vectorPipeEmpty() const;
-    void issueFromQueue(std::vector<IqEntry> &queue, int width,
-                        isa::QueueKind kind);
+    void issueFromQueue(IssueQueue &queue, int width, isa::QueueKind kind);
     bool tryExecute(int tid, size_t slot, isa::QueueKind kind);
 
     /**
@@ -353,13 +439,8 @@ class SmtCore
         if (h.when < bound)
             bound = h.when;
     }
-    /**
-     * The structural gate dispatch would hit for thread @p t's head.
-     * On Ok, @p kindOut (when given) receives the target queue kind so
-     * the dispatcher doesn't re-derive it.
-     */
-    DispatchGate dispatchGate(const Thread &t, const FetchedInst &f,
-                              isa::QueueKind *kindOut = nullptr) const;
+    /** The structural gate dispatch would hit for thread @p t's head. */
+    DispatchGate dispatchGate(const Thread &t, const FetchedInst &f) const;
 
     /**
      * Earliest cycle >= _now at which any stage can make progress (_now
@@ -374,8 +455,11 @@ class SmtCore
     BranchPredictor _bpred;
 
     std::vector<Thread> _threads;
-    std::vector<IqEntry> _intQ, _memQ, _fpQ, _simdQ;
-    std::vector<IqEntry> _activeStreams;
+    /// The four issue queues, indexed by isa::QueueKind.
+    IssueQueue _iq[4];
+    /// Stream memory operations expanding their element accesses.
+    IssueQueue _activeStreams;
+    std::unique_ptr<IqEntry[]> _queueStore;
 
     // ---- structure-of-arrays ROB state ----
     //
@@ -404,8 +488,11 @@ class SmtCore
      */
     uint64_t _queueMinReady[4] = { ~0ull, ~0ull, ~0ull, ~0ull };
 
-    // Shared physical register pools: [0]=int, [1]=fp, [2]=simd.
-    int _freeRegs[3] = { 0, 0, 0 };
+    // Shared physical register pools: [0]=int, [1]=fp, [2]=simd, and
+    // [kNoDstPool], a pseudo-pool so large it never gates: instructions
+    // without a destination take and return a register there, which
+    // keeps dispatch, commit and flush free of validity branches.
+    int _freeRegs[4] = { 0, 0, 0, 0 };
 
     // Unpipelined / occupied functional units.
     uint64_t _divBusyUntil = 0;
@@ -415,27 +502,25 @@ class SmtCore
     uint64_t _now = 0;
     uint64_t _committedRecords = 0;
     uint64_t _committedEq = 0;
+    // Round-robin starts: each advances by one per cycle and wraps at
+    // numThreads, so _commitRotate == _now % numThreads throughout.
+    int _commitRotate = 0;
     int _fetchRotate = 0;
     int _dispatchRotate = 0;
     StatGroup _stats;
 
-    // Per-cycle scratch (a member so the hot loop never allocates).
-    std::vector<int> _fetchOrderBuf;
-
     // Hot-path counters, resolved to stable StatIds once so per-event
     // accounting is an indexed increment instead of a string lookup.
     StatId _ctrCommits = 0;
-    StatId _ctrCommitInt = 0;
-    StatId _ctrCommitFp = 0;
-    StatId _ctrCommitSimd = 0;
-    StatId _ctrCommitMem = 0;
+    /// commitInt, commitFp, commitSimd, commitMem: indexed by MixGroup.
+    StatId _ctrCommitMix[4] = {};
     StatId _ctrIssued = 0;
     StatId _ctrDispatched = 0;
     StatId _ctrFetched = 0;
     StatId _ctrCondBranches = 0;
-    StatId _ctrRobFullStalls = 0;
-    StatId _ctrIqFullStalls = 0;
-    StatId _ctrRegFullStalls = 0;
+    /// robFullStalls, iqFullStalls, regFullStalls: indexed by
+    /// DispatchGate ([Ok] is never counted).
+    StatId _ctrGateStalls[4] = {};
     StatId _ctrIdleCyclesSkipped = 0;
     StatId _ctrCommitStoreStalls = 0;
     StatId _ctrMispredicts = 0;

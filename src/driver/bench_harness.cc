@@ -72,7 +72,8 @@ BenchOptions::flagTable()
     // (every table flag parses, every parsed flag is in the table).
     static const std::vector<BenchFlagInfo> table = {
         { "--jobs", "-j", "N",
-          "worker threads for the sweep (default: all hardware)" },
+          "worker threads for the sweep, at most 256 (default: all "
+          "hardware)" },
         { "--quick", nullptr, nullptr,
           "tiny workload scale, for smoke tests and CI" },
         { "--workload", nullptr, "NAME[,NAME...]",
@@ -191,8 +192,9 @@ BenchOptions::parseInto(int argc, char **argv, BenchOptions &out,
             if (!value(i, &v))
                 return false;
             uint64_t jobs = 0;
-            if (!parseUintStrict(v, 1, 1 << 20, jobs)) {
-                error = strfmt("bad --jobs '%s' (want an integer >= 1)", v);
+            if (!parseUintStrict(v, 1, PointScheduler::kMaxWorkers, jobs)) {
+                error = strfmt("bad --jobs '%s' (want an integer in 1..%d)",
+                               v, PointScheduler::kMaxWorkers);
                 return false;
             }
             opts.jobs = static_cast<int>(jobs);

@@ -130,6 +130,11 @@ PointScheduler::PointScheduler() : PointScheduler(Config {}) {}
 PointScheduler::PointScheduler(Config cfg)
     : _state(std::make_unique<PointSchedulerState>(cfg.memCacheRows))
 {
+    // Unconditional: the front ends bound their flags, so this only
+    // catches a programmatic caller before it starts the threads.
+    if (cfg.workers > kMaxWorkers)
+        panic(strfmt("PointScheduler: %d workers exceeds the limit of %d",
+                     cfg.workers, kMaxWorkers));
     unsigned n = cfg.workers > 0
                      ? static_cast<unsigned>(cfg.workers)
                      : std::thread::hardware_concurrency();

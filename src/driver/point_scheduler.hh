@@ -59,9 +59,17 @@ struct PointSchedulerState;
 class PointScheduler
 {
   public:
+    /**
+     * The most worker threads a caller may ask for. Every thread-count
+     * flag (--jobs, --parallel) rejects larger values at parse time, so
+     * a typo cannot make the process ask the OS for a million threads.
+     */
+    static constexpr int kMaxWorkers = 256;
+
     struct Config
     {
-        int workers = 0;            ///< worker threads; <=0 => hardware
+        /// Worker threads, at most kMaxWorkers; <=0 => hardware.
+        int workers = 0;
         size_t memCacheRows = 4096; ///< LRU row-cache capacity; 0 = off
     };
 

@@ -113,9 +113,22 @@ isFp(OpClass c)
            c == OpClass::FpDiv;
 }
 
-/** Table-3 bucket for an OpClass. */
+/** Number of OpClass values (Nop is the last). */
+constexpr int kNumOpClasses = static_cast<int>(OpClass::Nop) + 1;
+
+/** True when an op counts streamLen equivalent instructions (eqInsts). */
+constexpr bool
+countsStreamLen(OpClass c)
+{
+    return isMom(c) && c != OpClass::MomCtl;
+}
+
+namespace detail
+{
+
+/** Table-3 bucket by the predicates (fills kMixGroupTable). */
 constexpr MixGroup
-mixGroup(OpClass c)
+mixGroupOf(OpClass c)
 {
     if (isMemory(c))
         return MixGroup::Mem;
@@ -126,9 +139,9 @@ mixGroup(OpClass c)
     return MixGroup::Int;
 }
 
-/** Issue queue servicing an OpClass. */
+/** Issue queue by the predicates (fills kQueueKindTable). */
 constexpr QueueKind
-queueKind(OpClass c)
+queueKindOf(OpClass c)
 {
     if (isMemory(c))
         return QueueKind::Mem;
@@ -137,6 +150,47 @@ queueKind(OpClass c)
     if (isSimd(c))
         return QueueKind::Simd;
     return QueueKind::Int;
+}
+
+/** A per-OpClass lookup table of @p f's values. */
+template <typename T, typename F>
+struct OpClassTable
+{
+    T v[kNumOpClasses];
+
+    constexpr explicit OpClassTable(F f) : v()
+    {
+        for (int c = 0; c < kNumOpClasses; ++c)
+            v[c] = f(static_cast<OpClass>(c));
+    }
+};
+
+template <typename T, typename F>
+constexpr OpClassTable<T, F>
+tabulate(F f)
+{
+    return OpClassTable<T, F>(f);
+}
+
+// The simulator asks these per instruction on its hottest lines; a
+// table turns each predicate chain into one indexed load.
+constexpr auto kMixGroupTable = tabulate<MixGroup>(mixGroupOf);
+constexpr auto kQueueKindTable = tabulate<QueueKind>(queueKindOf);
+
+} // namespace detail
+
+/** Table-3 bucket for an OpClass. */
+constexpr MixGroup
+mixGroup(OpClass c)
+{
+    return detail::kMixGroupTable.v[static_cast<int>(c)];
+}
+
+/** Issue queue servicing an OpClass. */
+constexpr QueueKind
+queueKind(OpClass c)
+{
+    return detail::kQueueKindTable.v[static_cast<int>(c)];
 }
 
 const char *toString(OpClass c);

@@ -64,9 +64,9 @@ struct TraceInst
     uint32_t
     eqInsts() const
     {
-        if (isMom() && opClass() != OpClass::MomCtl)
-            return streamLen ? streamLen : 1;
-        return 1;
+        // Branch-free: 1 + (max(streamLen, 1) - 1) for stream-counted ops.
+        uint32_t len = streamLen + (streamLen == 0);
+        return 1 + (len - 1) * isa::countsStreamLen(opClass());
     }
 
     /** Number of per-element memory accesses this instruction performs. */

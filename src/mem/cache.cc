@@ -299,6 +299,7 @@ Cache::lookup(uint64_t cycle, uint64_t addr, bool isWrite)
 CacheResult
 Cache::access(uint64_t cycle, uint64_t addr, bool isWrite)
 {
+    MOMSIM_ASSERT(countersBalanced(), "cache hits + misses != accesses");
     if (!takePort(cycle)) {
         _stats.at(_ctrPortConflicts) += 1;
         return {};
@@ -320,6 +321,7 @@ CacheResult
 Cache::accessBlocking(uint64_t cycle, uint64_t addr, bool isWrite,
                       uint32_t bytes)
 {
+    MOMSIM_ASSERT(countersBalanced(), "cache hits + misses != accesses");
     uint32_t bank = bankIndexOf(addr);
 
     uint64_t start = cycle;

@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/stats.hh"
 
 namespace momsim::mem
@@ -131,7 +132,12 @@ class Cache
     StatGroup &stats() { return _stats; }
     const CacheConfig &config() const { return _cfg; }
 
-    double hitRate() const { return _stats.ratio("hits", "accesses"); }
+    double
+    hitRate() const
+    {
+        MOMSIM_ASSERT(countersBalanced(), "cache hits + misses != accesses");
+        return _stats.ratio("hits", "accesses");
+    }
 
     double
     avgLatency() const
@@ -142,6 +148,16 @@ class Cache
     void reset();
 
   private:
+    /**
+     * Conservation: every counted (load-side) access is exactly one hit
+     * or one miss; write-through stores count as storeAccesses only.
+     */
+    bool
+    countersBalanced() const
+    {
+        return _stats.at(_ctrHits) + _stats.at(_ctrMisses) ==
+               _stats.at(_ctrAccesses);
+    }
     struct Line
     {
         uint64_t tag = 0;

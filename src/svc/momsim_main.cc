@@ -19,7 +19,7 @@
  *                            -> stdout); also the test harness's tool
  *
  * batch flags:
- *   --jobs N      simulation pool workers (default: all hardware)
+ *   --jobs N      simulation pool workers, max 256 (default: all hardware)
  *   --parallel M  concurrent client submitters (default 2; capped 16)
  *   --client C    client tag echoed in every response (default none)
  *   --no-timing   zero wallMs/sim_kcps in responses so identical
@@ -103,7 +103,7 @@ runHelp(int argc, char **argv)
                 "                    [--mem-cache-rows N] [--stats]\n"
                 "\n"
                 "flags:\n"
-                "  --jobs, -j N     scheduler workers (default: "
+                "  --jobs, -j N     scheduler workers, max 256 (default: "
                 "all hardware)\n"
                 "  --parallel M     concurrent client submitters "
                 "(default 2, max 16)\n"
@@ -144,7 +144,7 @@ runHelp(int argc, char **argv)
                 "  --host H         TCP bind address (default "
                 "127.0.0.1)\n"
                 "  --unix PATH      listen on a unix-domain socket\n"
-                "  --jobs, -j N     scheduler workers (default: "
+                "  --jobs, -j N     scheduler workers, max 256 (default: "
                 "all hardware)\n"
                 "  --parallel M     submitter threads per connection "
                 "(default 2, max 16)\n"
@@ -257,10 +257,12 @@ runBatch(int argc, char **argv)
         const char *arg = argv[i];
         if (std::strcmp(arg, "--jobs") == 0 ||
             std::strcmp(arg, "-j") == 0) {
-            if (!intFlag(cmd, argc, argv, i, 1, jobs))
+            if (!intFlag(cmd, argc, argv, i, 1, jobs,
+                         driver::PointScheduler::kMaxWorkers))
                 return 2;
         } else if (std::strcmp(arg, "--parallel") == 0) {
-            if (!intFlag(cmd, argc, argv, i, 1, parallel))
+            if (!intFlag(cmd, argc, argv, i, 1, parallel,
+                         driver::PointScheduler::kMaxWorkers))
                 return 2;
             if (parallel > 16)
                 parallel = 16;

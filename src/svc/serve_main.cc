@@ -37,16 +37,17 @@ stringFlag(const char *cmd, int argc, char **argv, int &i,
 
 bool
 intFlag(const char *cmd, int argc, char **argv, int &i, int minValue,
-        int &out)
+        int &out, int maxValue)
 {
     std::string v;
     uint64_t parsed = 0;
     if (!stringFlag(cmd, argc, argv, i, v))
         return false;
     if (!parseUintStrict(v.c_str(), static_cast<uint64_t>(minValue),
-                         1 << 20, parsed)) {
-        std::fprintf(stderr, "%s: bad %s '%s' (want an integer >= %d)\n",
-                     cmd, argv[i - 1], v.c_str(), minValue);
+                         static_cast<uint64_t>(maxValue), parsed)) {
+        std::fprintf(stderr,
+                     "%s: bad %s '%s' (want an integer in %d..%d)\n", cmd,
+                     argv[i - 1], v.c_str(), minValue, maxValue);
         return false;
     }
     out = static_cast<int>(parsed);
@@ -106,10 +107,12 @@ runServe(int argc, char **argv)
                 return 2;
         } else if (std::strcmp(arg, "--jobs") == 0 ||
                    std::strcmp(arg, "-j") == 0) {
-            if (!intFlag(cmd, argc, argv, i, 1, jobs))
+            if (!intFlag(cmd, argc, argv, i, 1, jobs,
+                         driver::PointScheduler::kMaxWorkers))
                 return 2;
         } else if (std::strcmp(arg, "--parallel") == 0) {
-            if (!intFlag(cmd, argc, argv, i, 1, parallel))
+            if (!intFlag(cmd, argc, argv, i, 1, parallel,
+                         driver::PointScheduler::kMaxWorkers))
                 return 2;
             if (parallel > 16)
                 parallel = 16;

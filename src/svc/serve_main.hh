@@ -33,10 +33,11 @@ int runClient(int argc, char **argv);
 /**
  * Read the value of flag argv[i] into @p out, advancing @p i past it;
  * on a missing value (or, for intFlag, anything but an integer in
- * [@p minValue, 1<<20]) print "<cmd>: ..." on stderr and return false.
+ * [@p minValue, @p maxValue]) print "<cmd>: ..." on stderr and return
+ * false.
  */
 bool intFlag(const char *cmd, int argc, char **argv, int &i, int minValue,
-             int &out);
+             int &out, int maxValue = 1 << 20);
 bool stringFlag(const char *cmd, int argc, char **argv, int &i,
                 std::string &out);
 

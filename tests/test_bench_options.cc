@@ -246,11 +246,14 @@ TEST(BenchOptions, ShardValidationRejectsOutOfRangeAndGarbage)
 TEST(BenchOptions, JobsMustBePositive)
 {
     // The whole token must be an integer: "4x" once parsed as 4.
-    for (const char *v : { "0", "-2", "banana", "4x", "", "2097152",
-                           "99999999999999999999" })
+    // Above PointScheduler::kMaxWorkers rejects at parse time: the
+    // scheduler would start that many threads.
+    for (const char *v : { "0", "-2", "banana", "4x", "", "257", "1048576",
+                           "2097152", "99999999999999999999" })
         EXPECT_NE(expectError({ "--jobs", v }).find("bad --jobs"),
                   std::string::npos) << "'" << v << "'";
-    EXPECT_EQ(expectOk({ "--jobs", "1048576" }).jobs, 1 << 20);
+    EXPECT_EQ(expectOk({ "--jobs", "256" }).jobs,
+              PointScheduler::kMaxWorkers);
 }
 
 TEST(BenchOptions, SeedIsStrict)

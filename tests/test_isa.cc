@@ -111,6 +111,48 @@ TEST(OpClassHelpers, QueueAssignment)
     EXPECT_EQ(queueKind(OpClass::MomAcc), QueueKind::Simd);
 }
 
+TEST(OpClassHelpers, TablesMatchThePredicatesTheyReplace)
+{
+    // mixGroup and queueKind are lookup tables on the simulator's
+    // hottest lines; every entry must equal the predicate chain it
+    // replaced (memory, then fp, then SIMD, else int).
+    EXPECT_EQ(kNumOpClasses, static_cast<int>(OpClass::Nop) + 1);
+    for (int i = 0; i < kNumOpClasses; ++i) {
+        OpClass c = static_cast<OpClass>(i);
+        MixGroup wantMix = isMemory(c) ? MixGroup::Mem
+                           : isFp(c)   ? MixGroup::Fp
+                           : isSimd(c) ? MixGroup::SimdArith
+                                       : MixGroup::Int;
+        QueueKind wantQueue = isMemory(c) ? QueueKind::Mem
+                              : isFp(c)   ? QueueKind::Fp
+                              : isSimd(c) ? QueueKind::Simd
+                                          : QueueKind::Int;
+        EXPECT_EQ(mixGroup(c), wantMix) << toString(c);
+        EXPECT_EQ(queueKind(c), wantQueue) << toString(c);
+        EXPECT_EQ(countsStreamLen(c), isMom(c) && c != OpClass::MomCtl)
+            << toString(c);
+    }
+}
+
+TEST(TraceInst, BranchFreeEqInstsMatchesTheDefinition)
+{
+    // eqInsts() is computed without branches; check it against the
+    // definition for every op class and every stream length, 0 included
+    // (a zero length counts as one).
+    for (int i = 0; i < kNumOps; ++i) {
+        Op op = static_cast<Op>(i);
+        for (int len : { 0, 1, 2, 11, 16, 255 }) {
+            TraceInst inst;
+            inst.op = static_cast<uint16_t>(i);
+            inst.streamLen = static_cast<uint8_t>(len);
+            OpClass c = opClass(op);
+            uint32_t want = (isMom(c) && c != OpClass::MomCtl)
+                ? static_cast<uint32_t>(len ? len : 1) : 1u;
+            EXPECT_EQ(inst.eqInsts(), want) << opName(op) << " len " << len;
+        }
+    }
+}
+
 TEST(Regs, EncodingRoundTrip)
 {
     for (int i = 0; i < 32; ++i) {

@@ -380,39 +380,61 @@ TEST(KernelLayout, ColumnInvariantsHoldThroughFlushHeavyRuns)
     // debugLayoutIssue() cross-checks the structure-of-arrays hot
     // columns against the cold records mid-flight: slot mapping, state
     // vs inst/generation consistency, queue references, per-thread
-    // queue counts and waiter generation ranges. Probe it repeatedly
-    // through runs with flushes and slot recycling, in both ISAs.
+    // queue counts, the wakeup lists, the decoded bytes of every fetch
+    // and ROB record against its trace record, the fixed queue
+    // capacities, and the commit rotation against now % threads.
+    // Probe it after every cycle through runs with flushes, slot
+    // recycling, full issue queues and fast-forward jumps, in both
+    // ISAs; 3 threads keep the rotation's wrap off a power of two.
     for (isa::SimdIsa simdIsa : { isa::SimdIsa::Mmx, isa::SimdIsa::Mom }) {
-        Program p = randomProgram(0xF1CEu, simdIsa);
-        CoreConfig cfg = CoreConfig::preset(2, simdIsa);
-        cfg.windowPerThread = 16;       // recycle slots aggressively
-        auto mem = mem::makeMemorySystem(mem::MemModel::Conventional);
-        SmtCore core(cfg, *mem);
-        for (int tid = 0; tid < cfg.numThreads; ++tid)
-            core.attachProgram(tid, &p);
-        auto allIdle = [&] {
-            for (int tid = 0; tid < cfg.numThreads; ++tid) {
-                if (!core.threadIdle(tid))
-                    return false;
+        for (int threads : { 2, 3 }) {
+            SCOPED_TRACE(testing::Message() << isa::toString(simdIsa)
+                                            << " threads=" << threads);
+            Program p = randomProgram(0xF1CEu, simdIsa);
+            CoreConfig cfg = CoreConfig::preset(threads, simdIsa);
+            cfg.windowPerThread = 16;   // recycle slots aggressively
+            if (threads == 3) {
+                // Small queues that fill: the dispatch gate must refuse
+                // at exactly the fixed capacity.
+                cfg.intQueue = cfg.memQueue = 4;
+                cfg.fpQueue = cfg.simdQueue = 3;
             }
-            return true;
-        };
-        int checks = 0;
-        while (!allIdle() && core.now() < 3'000'000) {
-            core.step();
-            if (core.committedRecords() % 64 == 0) {
+            auto mem = mem::makeMemorySystem(mem::MemModel::Conventional);
+            SmtCore core(cfg, *mem);
+            for (int tid = 0; tid < cfg.numThreads; ++tid)
+                core.attachProgram(tid, &p);
+            auto allIdle = [&] {
+                for (int tid = 0; tid < cfg.numThreads; ++tid) {
+                    if (!core.threadIdle(tid))
+                        return false;
+                }
+                return true;
+            };
+            int checks = 0;
+            while (!allIdle() && core.now() < 3'000'000) {
+                core.step();
                 std::string issue = core.debugLayoutIssue();
-                ASSERT_TRUE(issue.empty())
-                    << isa::toString(simdIsa) << " @" << core.now()
-                    << ": " << issue;
+                ASSERT_TRUE(issue.empty()) << "@" << core.now() << ": "
+                                           << issue;
                 ++checks;
             }
+            EXPECT_TRUE(allIdle()) << "core appears hung";
+            EXPECT_GT(checks, 0);
+            // The run crossed flushes and fast-forward jumps, and the
+            // small queues filled.
+            StatGroup &st = core.stats();
+            EXPECT_GT(st.get("flushes"), 0u);
+            EXPECT_GT(st.get("idleCyclesSkipped"), 0u);
+            if (threads == 3)
+                EXPECT_GT(st.get("iqFullStalls"), 0u);
+            // Conservation: every record graduated exactly once.
+            EXPECT_EQ(st.get("commits"), core.committedRecords());
+            EXPECT_EQ(core.committedRecords(),
+                      static_cast<uint64_t>(threads) * p.size());
+            // And at quiescence, when every slot should read Empty.
+            std::string finalIssue = core.debugLayoutIssue();
+            EXPECT_TRUE(finalIssue.empty()) << finalIssue;
         }
-        EXPECT_TRUE(allIdle()) << "core appears hung";
-        EXPECT_GT(checks, 0);
-        // And at quiescence, when every slot should read Empty.
-        std::string finalIssue = core.debugLayoutIssue();
-        EXPECT_TRUE(finalIssue.empty()) << finalIssue;
     }
 }
 

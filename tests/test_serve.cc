@@ -28,6 +28,7 @@
 #include "svc/listener.hh"
 #include "svc/ping.hh"
 #include "svc/sequencer.hh"
+#include "svc/serve_main.hh"
 #include "svc/sim_service.hh"
 
 namespace momsim::svc
@@ -482,6 +483,41 @@ pingingConfig(SimService &service, std::vector<std::string> &out,
         return true;
     };
     return cfg;
+}
+
+TEST(ServeFlags, ThreadCountsAreBoundedAtParseTime)
+{
+    // --jobs and --parallel of `momsim serve` and `momsim batch` parse
+    // through intFlag bounded by PointScheduler::kMaxWorkers; a value
+    // the scheduler would turn into that many threads rejects here,
+    // before anything starts.
+    auto parse = [](const char *value, int &out) {
+        std::string flag = "--jobs";
+        std::string v = value;
+        char *argv[] = { &flag[0], &v[0] };
+        int i = 0;
+        return intFlag("test", 2, argv, i, 1, out,
+                       driver::PointScheduler::kMaxWorkers);
+    };
+    int n = 0;
+    EXPECT_TRUE(parse("1", n));
+    EXPECT_EQ(n, 1);
+    EXPECT_TRUE(parse("256", n));
+    EXPECT_EQ(n, driver::PointScheduler::kMaxWorkers);
+    for (const char *bad : { "0", "257", "1048576", "99999999999999999999",
+                             "-1", "4x", "" }) {
+        n = -7;
+        EXPECT_FALSE(parse(bad, n)) << "'" << bad << "'";
+        EXPECT_EQ(n, -7) << "'" << bad << "'";
+    }
+    // serve's own flag loop applies the bound: usage error, exit 2,
+    // before it binds or starts a worker.
+    for (const char *flag : { "--jobs", "-j", "--parallel" }) {
+        std::string f = flag;
+        std::string v = "257";
+        char *argv[] = { &f[0], &v[0] };
+        EXPECT_EQ(runServe(2, argv), 2) << flag;
+    }
 }
 
 TEST(Ping, PongCarriesIdVersionAndTheServiceGauges)
